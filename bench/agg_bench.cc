@@ -217,7 +217,7 @@ int Main() {
   TablePrinter table({"mix", "groups", "strategy", "serial ms",
                       std::to_string(threads) + "t ms", "speedup",
                       "equiv runs"});
-  char buf[64];
+  char buf[128];  // fits the longest JSON row below
   for (const MixReport& report : reports) {
     for (const StrategyTiming& t : report.strategies) {
       std::vector<std::string> row;

@@ -2,9 +2,9 @@
 // same N-Triples text, with a hard result-equivalence gate.
 //
 // The dataset is LUBM (PARJ_LUBM_UNIV universities) exported to N-Triples,
-// so the bench exercises the full pipeline: chunked parse, sharded
-// dictionary encode, grouped store build, metadata/statistics, and the
-// parallel snapshot decode. For every thread count the loaded store must
+// so the bench exercises the full pipeline: the streaming chunk pass
+// (parse + chunk-local encode), the chunk-order dictionary merge, grouped
+// store build, metadata/statistics, and the parallel snapshot decode. For every thread count the loaded store must
 // be byte-identical to the serial one (same v2 snapshot bytes — which
 // pins dictionary IDs, triple order, and term spellings) and must return
 // identical rows for the LUBM queries; any divergence aborts the bench.

@@ -6,8 +6,11 @@
 // The binary also hard-asserts (before any benchmark runs) that a
 // dictionary lookup HIT performs zero heap allocations: the transparent
 // hash map is probed with a string_view into a thread-local scratch
-// buffer, so the old per-lookup DictionaryKey() string is gone. The
-// counting operator new below makes any regression fail the bench run.
+// buffer, so the old per-lookup DictionaryKey() string is gone. It also
+// asserts that stream-encoding N-Triples (the bulk load's fused parse +
+// chunk-local encode) of lines whose terms the base dictionary already
+// holds performs zero heap allocations per line. The counting operator
+// new below makes any regression fail the bench run.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +24,8 @@
 
 #include "common/rng.h"
 #include "dict/dictionary.h"
+#include "dict/sharded_encoder.h"
+#include "rdf/ntriples.h"
 #include "storage/property_table.h"
 
 // TU-level replacement of the global allocator: every heap allocation in
@@ -285,6 +290,76 @@ void AssertLookupHitsDoNotAllocate() {
               static_cast<unsigned long long>(hits));
 }
 
+/// Allocations made while one chunk of `text` is walked and stream-encoded
+/// against `base` (the load's per-chunk work), with the encoder's triple
+/// list pre-sized so only per-line work can allocate. Aborts unless every
+/// line parses and every term hits the base.
+uint64_t StreamEncodeAllocations(const dict::Dictionary& base,
+                                 const std::string& text, size_t lines) {
+  dict::ChunkEncoder encoder(base);
+  encoder.Reserve(lines);
+  std::vector<rdf::ChunkLines> chunks =
+      rdf::SplitNewlineChunks(text, text.size());
+  const uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  const Status walked = rdf::WalkChunks(
+      text, {}, &chunks,
+      [&encoder](size_t, rdf::Triple& triple) { encoder.Add(triple); });
+  const uint64_t allocations =
+      g_allocation_count.load(std::memory_order_relaxed) - before;
+  const dict::EncodedChunk encoded = encoder.Finish();
+  if (!walked.ok() || encoded.triples.size() != lines ||
+      !encoded.delta_resources.empty() || !encoded.delta_predicates.empty()) {
+    std::fprintf(stderr,
+                 "FAIL: stream-encode setup: %s, %zu of %zu lines encoded, "
+                 "%zu + %zu terms missed the base\n",
+                 walked.ToString().c_str(), encoded.triples.size(), lines,
+                 encoded.delta_resources.size(),
+                 encoded.delta_predicates.size());
+    std::abort();
+  }
+  return allocations;
+}
+
+/// Aborts the binary if stream-encoding a line whose terms are all in the
+/// base dictionary allocates. Walking the same lines once and twice over
+/// must cost the same allocations (the scratch triple and key buffer grow
+/// during the first copy in both), so the per-line count is zero. A
+/// warm-up walk first grows the thread-local buffers.
+void AssertStreamEncodeHitsDoNotAllocate() {
+  const std::vector<rdf::Term> terms = DictTerms();
+  const rdf::Term predicate = rdf::Term::Iri("http://example.org/predicate");
+  dict::Dictionary base;
+  for (const rdf::Term& t : terms) base.EncodeResource(t);
+  base.EncodePredicate(predicate);
+  // IRI subjects; objects cycle through every term shape.
+  std::string once;
+  size_t lines = 0;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (!terms[i].is_iri()) continue;
+    for (size_t j = 0; j < terms.size(); j += 97) {
+      once += terms[i].ToNTriples() + " " + predicate.ToNTriples() + " " +
+              terms[(i + j) % terms.size()].ToNTriples() + " .\n";
+      ++lines;
+    }
+  }
+  const std::string twice = once + once;
+  StreamEncodeAllocations(base, twice, 2 * lines);  // warm-up
+  const uint64_t single = StreamEncodeAllocations(base, once, lines);
+  const uint64_t doubled = StreamEncodeAllocations(base, twice, 2 * lines);
+  if (doubled != single) {
+    std::fprintf(stderr,
+                 "FAIL: stream-encoding %zu more base-hit lines made %lld "
+                 "more allocation(s) (expected 0 per line)\n",
+                 lines,
+                 static_cast<long long>(doubled) -
+                     static_cast<long long>(single));
+    std::abort();
+  }
+  std::printf("stream-encode allocation check: %zu base-hit lines, "
+              "0 allocations per line (%llu per chunk)\n",
+              2 * lines, static_cast<unsigned long long>(doubled));
+}
+
 /// Prints bytes/triple for the flat and bit-packed replica layouts over
 /// the same pair set, so every bench run records the compression ratio
 /// next to the latency numbers.
@@ -307,6 +382,7 @@ void ReportBytesPerTriple() {
 
 int main(int argc, char** argv) {
   parj::storage::AssertLookupHitsDoNotAllocate();
+  parj::storage::AssertStreamEncodeHitsDoNotAllocate();
   parj::storage::ReportBytesPerTriple();
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -1,6 +1,7 @@
 #include "common/durable_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -76,6 +77,40 @@ Status RenameDurable(const std::string& from, const std::string& to) {
                            "': " + std::strerror(errno));
   }
   return FsyncParentDir(to);
+}
+
+Result<std::string> ReadFile(const std::string& path) {
+  int fd;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return Status::IoError(Errno("open", path));
+  std::string bytes;
+  struct stat info;
+  if (::fstat(fd, &info) == 0 && info.st_size > 0) {
+    bytes.resize(static_cast<size_t>(info.st_size));
+  }
+  // Fill the pre-sized buffer; once it is full (or the length was
+  // unknown) read into a stack probe and append, so a file whose size was
+  // exact never regrows the buffer just to see end-of-file.
+  Status status;
+  size_t filled = 0;
+  char probe[4096];
+  while (true) {
+    const bool full = filled == bytes.size();
+    char* dst = full ? probe : bytes.data() + filled;
+    const size_t room = full ? sizeof(probe) : bytes.size() - filled;
+    const ssize_t n = ::read(fd, dst, room);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) status = Status::IoError(Errno("read", path));
+    if (n <= 0) break;
+    if (full) bytes.append(probe, static_cast<size_t>(n));
+    filled += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (!status.ok()) return status;
+  bytes.resize(filled);  // the file shrank since fstat
+  return bytes;
 }
 
 Status WriteFileDurable(const std::string& path, std::string_view bytes) {

@@ -49,6 +49,11 @@ Status RenameDurable(const std::string& from, const std::string& to);
 /// files (the WAL manifest).
 Status WriteFileDurable(const std::string& path, std::string_view bytes);
 
+/// Reads the whole file at `path` into one string sized from the file's
+/// length up front, so reading holds no regrowth copy of the contents.
+/// Files whose length is unknown in advance (pipes) still read fully.
+Result<std::string> ReadFile(const std::string& path);
+
 /// Directory component of `path` ("." when there is none).
 std::string ParentDir(const std::string& path);
 

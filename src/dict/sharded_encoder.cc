@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/timer.h"
 #include "server/thread_pool.h"
 
 namespace parj::dict {
@@ -31,30 +32,36 @@ TermId EncodeTermAgainst(const rdf::Term& term, const LookupByKey& base_lookup,
 
 }  // namespace
 
+void ChunkEncoder::Add(const rdf::Triple& triple) {
+  const auto resource_lookup = [this](std::string_view key) {
+    return base_->LookupResourceByKey(key);
+  };
+  const auto predicate_lookup = [this](std::string_view key) {
+    return base_->LookupPredicateByKey(key);
+  };
+  EncodedTriple e;
+  e.subject = EncodeTermAgainst(triple.subject, resource_lookup,
+                                &resource_delta_ids_, &chunk_.delta_resources);
+  e.predicate = EncodeTermAgainst(triple.predicate, predicate_lookup,
+                                  &predicate_delta_ids_,
+                                  &chunk_.delta_predicates);
+  e.object = EncodeTermAgainst(triple.object, resource_lookup,
+                               &resource_delta_ids_, &chunk_.delta_resources);
+  chunk_.triples.push_back(e);
+}
+
+EncodedChunk ChunkEncoder::Finish() {
+  resource_delta_ids_ = {};
+  predicate_delta_ids_ = {};
+  return std::exchange(chunk_, {});
+}
+
 EncodedChunk EncodeChunk(const Dictionary& base,
                          std::span<const rdf::Triple> triples) {
-  EncodedChunk out;
-  out.triples.reserve(triples.size());
-  TermKeyMap<TermId> resource_delta_ids;
-  TermKeyMap<TermId> predicate_delta_ids;
-  const auto resource_lookup = [&base](std::string_view key) {
-    return base.LookupResourceByKey(key);
-  };
-  const auto predicate_lookup = [&base](std::string_view key) {
-    return base.LookupPredicateByKey(key);
-  };
-  for (const rdf::Triple& t : triples) {
-    EncodedTriple e;
-    e.subject = EncodeTermAgainst(t.subject, resource_lookup,
-                                  &resource_delta_ids, &out.delta_resources);
-    e.predicate = EncodeTermAgainst(t.predicate, predicate_lookup,
-                                    &predicate_delta_ids,
-                                    &out.delta_predicates);
-    e.object = EncodeTermAgainst(t.object, resource_lookup,
-                                 &resource_delta_ids, &out.delta_resources);
-    out.triples.push_back(e);
-  }
-  return out;
+  ChunkEncoder encoder(base);
+  encoder.Reserve(triples.size());
+  for (const rdf::Triple& t : triples) encoder.Add(t);
+  return encoder.Finish();
 }
 
 Result<std::vector<EncodedTriple>> MergeEncodedChunks(
@@ -118,6 +125,33 @@ Result<std::vector<EncodedTriple>> MergeEncodedChunks(
     for (size_t c = 0; c < chunks.size(); ++c) patch_chunk(c);
   }
   return out;
+}
+
+Result<std::vector<EncodedTriple>> EncodeNTriples(
+    Dictionary* base, std::string_view text,
+    const rdf::ParallelParseOptions& options, NTriplesEncodeStats* stats) {
+  Stopwatch walk_timer;
+  std::vector<rdf::ChunkLines> chunks =
+      rdf::SplitNewlineChunks(text, options.chunk_bytes);
+  std::vector<ChunkEncoder> encoders(chunks.size(), ChunkEncoder(*base));
+  PARJ_RETURN_NOT_OK(rdf::WalkChunks(
+      text, options, &chunks, [&encoders](size_t chunk, rdf::Triple& triple) {
+        encoders[chunk].Add(triple);
+      }));
+  stats->walk_millis = walk_timer.ElapsedMillis();
+  stats->chunks = chunks.size();
+  for (const rdf::ChunkLines& chunk : chunks) {
+    stats->skipped_lines += chunk.skipped_lines;
+  }
+
+  Stopwatch merge_timer;
+  std::vector<EncodedChunk> encoded;
+  encoded.reserve(encoders.size());
+  for (ChunkEncoder& encoder : encoders) encoded.push_back(encoder.Finish());
+  encoders.clear();
+  auto merged = MergeEncodedChunks(base, std::move(encoded), options.pool);
+  stats->merge_millis = merge_timer.ElapsedMillis();
+  return merged;
 }
 
 }  // namespace parj::dict

@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "dict/dictionary.h"
+#include "rdf/ntriples.h"
 #include "rdf/term.h"
 
 namespace parj::server {
@@ -18,11 +19,13 @@ namespace parj::dict {
 /// Deterministic two-phase parallel dictionary encoding (bulk-load
 /// pipeline, DESIGN.md §10).
 ///
-/// Phase 1 — EncodeChunk, one call per input chunk, all concurrent: each
-/// chunk encodes its triples against a FROZEN base dictionary (read-only,
+/// Phase 1 — a ChunkEncoder per input chunk, all concurrent: each chunk
+/// encodes its triples against a FROZEN base dictionary (read-only,
 /// safely shared) plus a chunk-local delta dictionary that assigns
 /// provisional IDs (kDeltaTag | local-index) to terms the base does not
-/// know, in first-occurrence order within the chunk.
+/// know, in first-occurrence order within the chunk. The N-Triples load
+/// feeds each chunk's encoder straight from the parser, statement by
+/// statement; EncodeChunk is the same encoder over a triple span.
 ///
 /// Phase 2 — MergeEncodedChunks: deltas are folded into the base IN CHUNK
 /// ORDER, so a term's final ID equals the ID a serial first-occurrence
@@ -46,10 +49,32 @@ struct EncodedChunk {
   std::vector<rdf::Term> delta_predicates;
 };
 
-/// Phase 1: encodes `triples` against the frozen `base` plus a fresh
-/// chunk-local delta. Safe to run concurrently with other EncodeChunk
-/// calls sharing `base`, as long as nothing mutates `base` meanwhile.
-/// Base hits are allocation-free (transparent-hash probe).
+/// Phase 1 for one chunk, one statement at a time. Safe to run
+/// concurrently with other encoders sharing `base`, as long as nothing
+/// mutates `base` meanwhile. A statement whose terms the base or the
+/// delta already holds allocates nothing (transparent-hash probes on a
+/// reused key buffer) beyond the amortized growth of the triple list.
+class ChunkEncoder {
+ public:
+  explicit ChunkEncoder(const Dictionary& base) : base_(&base) {}
+
+  /// Pre-sizes the encoded triple list.
+  void Reserve(size_t triples) { chunk_.triples.reserve(triples); }
+
+  /// Encodes one statement, appending it to the chunk.
+  void Add(const rdf::Triple& triple);
+
+  /// Hands over the encoded chunk; the encoder is empty afterwards.
+  EncodedChunk Finish();
+
+ private:
+  const Dictionary* base_;
+  TermKeyMap<TermId> resource_delta_ids_;
+  TermKeyMap<TermId> predicate_delta_ids_;
+  EncodedChunk chunk_;
+};
+
+/// Phase 1 over a whole span: a ChunkEncoder fed `triples` in order.
 EncodedChunk EncodeChunk(const Dictionary& base,
                          std::span<const rdf::Triple> triples);
 
@@ -60,6 +85,26 @@ EncodedChunk EncodeChunk(const Dictionary& base,
 Result<std::vector<EncodedTriple>> MergeEncodedChunks(
     Dictionary* base, std::vector<EncodedChunk> chunks,
     server::ThreadPool* pool = nullptr);
+
+/// Per-phase counters of one EncodeNTriples call.
+struct NTriplesEncodeStats {
+  double walk_millis = 0.0;   ///< fused parse + chunk-local encode
+  double merge_millis = 0.0;  ///< chunk-order merge + provisional-ID patch
+  uint64_t chunks = 0;
+  uint64_t skipped_lines = 0;  ///< malformed lines dropped (non-strict)
+};
+
+/// Streams N-Triples `text` straight to IDs — the bulk load's parse and
+/// encode (DESIGN.md §10). One pass over each chunk (rdf::WalkChunks on
+/// options.pool) parses every line into the walker's scratch triple and
+/// feeds it to the chunk's ChunkEncoder against the frozen `*base`, so no
+/// string-level triple outlives its line; MergeEncodedChunks then folds
+/// the deltas in chunk order. Dictionary, triple order, skipped lines and
+/// strict-mode errors equal those of ParseTextParallel + EncodeChunk per
+/// chunk + MergeEncodedChunks with the same options.
+Result<std::vector<EncodedTriple>> EncodeNTriples(
+    Dictionary* base, std::string_view text,
+    const rdf::ParallelParseOptions& options, NTriplesEncodeStats* stats);
 
 }  // namespace parj::dict
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <span>
 
+#include "common/durable_io.h"
 #include "common/timer.h"
 #include "dict/sharded_encoder.h"
 #include "rdf/ntriples.h"
@@ -196,6 +197,29 @@ Result<std::vector<EncodedTriple>> EncodeShards(
   return dict::MergeEncodedChunks(dict, std::move(encoded), pool);
 }
 
+/// The N-Triples load body shared by the text and file loads: streams
+/// `text` to IDs against the fresh `*dict` (dict::EncodeNTriples) and
+/// records the phase timings. parse_millis is the fused parse plus
+/// chunk-local encode; encode_millis is the merge plus ID patch.
+Result<std::vector<EncodedTriple>> StreamEncode(std::string_view text,
+                                                const LoadOptions& load,
+                                                dict::Dictionary* dict,
+                                                LoadStats* stats) {
+  std::optional<server::ThreadPool> pool;
+  if (load.threads > 1) pool.emplace(load.threads);
+  rdf::ParallelParseOptions parse_options;
+  parse_options.strict = load.strict;
+  parse_options.chunk_bytes = load.chunk_bytes;
+  parse_options.pool = pool.has_value() ? &*pool : nullptr;
+  dict::NTriplesEncodeStats encode_stats;
+  auto encoded = dict::EncodeNTriples(dict, text, parse_options, &encode_stats);
+  stats->parse_millis = encode_stats.walk_millis;
+  stats->encode_millis = encode_stats.merge_millis;
+  stats->chunks = encode_stats.chunks;
+  stats->skipped_lines = encode_stats.skipped_lines;
+  return encoded;
+}
+
 }  // namespace
 
 Result<ParjEngine> ParjEngine::FromTriples(
@@ -225,65 +249,25 @@ Result<ParjEngine> ParjEngine::FromTriples(
 Result<ParjEngine> ParjEngine::FromNTriplesText(std::string_view text,
                                                 const EngineOptions& options) {
   LoadStats stats;
-  std::optional<server::ThreadPool> pool;
-  if (options.load.threads > 1) pool.emplace(options.load.threads);
-  rdf::ParallelParseOptions parse_options;
-  parse_options.strict = options.load.strict;
-  parse_options.chunk_bytes = options.load.chunk_bytes;
-  parse_options.pool = pool.has_value() ? &*pool : nullptr;
-
-  Stopwatch parse_timer;
-  PARJ_ASSIGN_OR_RETURN(std::vector<rdf::ParsedChunk> chunks,
-                        rdf::ParseTextParallel(text, parse_options));
-  stats.parse_millis = parse_timer.ElapsedMillis();
-  stats.chunks = chunks.size();
-  for (const rdf::ParsedChunk& chunk : chunks) {
-    stats.skipped_lines += chunk.skipped_lines;
-  }
-
-  Stopwatch encode_timer;
-  std::vector<std::span<const rdf::Triple>> shards;
-  shards.reserve(chunks.size());
-  for (const rdf::ParsedChunk& chunk : chunks) shards.emplace_back(chunk.triples);
   dict::Dictionary dict;
-  PARJ_ASSIGN_OR_RETURN(
-      std::vector<EncodedTriple> encoded,
-      EncodeShards(&dict, std::move(shards),
-                   pool.has_value() ? &*pool : nullptr));
-  stats.encode_millis = encode_timer.ElapsedMillis();
+  PARJ_ASSIGN_OR_RETURN(std::vector<EncodedTriple> encoded,
+                        StreamEncode(text, options.load, &dict, &stats));
   return FinishLoad(std::move(dict), std::move(encoded), options, stats);
 }
 
 Result<ParjEngine> ParjEngine::FromNTriplesFile(const std::string& path,
                                                 const EngineOptions& options) {
   LoadStats stats;
-  std::optional<server::ThreadPool> pool;
-  if (options.load.threads > 1) pool.emplace(options.load.threads);
-  rdf::ParallelParseOptions parse_options;
-  parse_options.strict = options.load.strict;
-  parse_options.chunk_bytes = options.load.chunk_bytes;
-  parse_options.pool = pool.has_value() ? &*pool : nullptr;
-
-  Stopwatch parse_timer;
-  PARJ_ASSIGN_OR_RETURN(
-      std::vector<rdf::ParsedChunk> chunks,
-      rdf::ParseFileParallel(path, parse_options, &stats.read_millis));
-  stats.parse_millis = parse_timer.ElapsedMillis() - stats.read_millis;
-  stats.chunks = chunks.size();
-  for (const rdf::ParsedChunk& chunk : chunks) {
-    stats.skipped_lines += chunk.skipped_lines;
-  }
-
-  Stopwatch encode_timer;
-  std::vector<std::span<const rdf::Triple>> shards;
-  shards.reserve(chunks.size());
-  for (const rdf::ParsedChunk& chunk : chunks) shards.emplace_back(chunk.triples);
   dict::Dictionary dict;
-  PARJ_ASSIGN_OR_RETURN(
-      std::vector<EncodedTriple> encoded,
-      EncodeShards(&dict, std::move(shards),
-                   pool.has_value() ? &*pool : nullptr));
-  stats.encode_millis = encode_timer.ElapsedMillis();
+  std::vector<EncodedTriple> encoded;
+  {
+    // The file text lives only until its statements are encoded.
+    Stopwatch read_timer;
+    PARJ_ASSIGN_OR_RETURN(const std::string text, io::ReadFile(path));
+    stats.read_millis = read_timer.ElapsedMillis();
+    PARJ_ASSIGN_OR_RETURN(encoded,
+                          StreamEncode(text, options.load, &dict, &stats));
+  }
   return FinishLoad(std::move(dict), std::move(encoded), options, stats);
 }
 

@@ -39,8 +39,12 @@ struct LoadOptions {
 /// Phases are disjoint; total_millis covers the whole load call.
 struct LoadStats {
   double read_millis = 0.0;       ///< file -> memory (file loads only)
-  double parse_millis = 0.0;      ///< N-Triples chunks -> rdf::Triple
-  double encode_millis = 0.0;     ///< terms -> dense IDs (shard + merge)
+  /// N-Triples: the fused chunk pass, parse plus chunk-local encode
+  /// (snapshot loads: the decode).
+  double parse_millis = 0.0;
+  /// Chunk deltas -> final dense IDs: the chunk-order merge and the
+  /// provisional-ID patch (FromTriples: the whole sharded encode).
+  double encode_millis = 0.0;
   double build_millis = 0.0;      ///< group by predicate + CSR tables
   double index_millis = 0.0;      ///< histograms, ID indexes, statistics
   double calibrate_millis = 0.0;  ///< Algorithm 2 (when enabled)

@@ -181,15 +181,6 @@ Result<Manifest> DecodeManifest(const std::string& bytes,
   return m;
 }
 
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IoError("read failure on '" + path + "'");
-  return bytes;
-}
-
 rdf::Term MakeTerm(uint8_t kind, std::string lexical, std::string datatype,
                    std::string lang) {
   switch (static_cast<rdf::TermKind>(kind)) {
@@ -316,7 +307,7 @@ struct SegmentScan {
 Status ScanSegmentFile(
     const std::string& path, uint64_t expect_seq, bool is_last,
     const std::function<Status(DecodedRecord)>& sink, SegmentScan* out) {
-  PARJ_ASSIGN_OR_RETURN(std::string data, ReadFileBytes(path));
+  PARJ_ASSIGN_OR_RETURN(std::string data, io::ReadFile(path));
   if (data.size() < kSegmentHeaderBytes) {
     if (is_last) {
       out->torn_bytes = data.size();
@@ -835,7 +826,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(const WalOptions& options,
   std::unique_ptr<Wal> wal(new Wal(options));
   const std::string manifest_path = options.dir + "/" + kManifestName;
   PARJ_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        ReadFileBytes(manifest_path));
+                        io::ReadFile(manifest_path));
   PARJ_ASSIGN_OR_RETURN(Manifest manifest,
                         DecodeManifest(manifest_bytes, manifest_path));
   PARJ_RETURN_NOT_OK(wal->OpenSegment(next_segment));
@@ -875,7 +866,7 @@ Result<Wal::Recovered> Wal::Recover(const WalOptions& options,
     return Status::NotFound("no WAL manifest in '" + options.dir + "'");
   }
   PARJ_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        ReadFileBytes(manifest_path));
+                        io::ReadFile(manifest_path));
   PARJ_ASSIGN_OR_RETURN(Manifest manifest,
                         DecodeManifest(manifest_bytes, manifest_path));
 
@@ -957,7 +948,7 @@ Result<WalInfo> Wal::VerifyWal(const std::string& dir) {
     return Status::NotFound("no WAL manifest in '" + dir + "'");
   }
   PARJ_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                        ReadFileBytes(manifest_path));
+                        io::ReadFile(manifest_path));
   PARJ_ASSIGN_OR_RETURN(Manifest manifest,
                         DecodeManifest(manifest_bytes, manifest_path));
   WalInfo info;

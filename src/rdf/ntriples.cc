@@ -1,10 +1,9 @@
 #include "rdf/ntriples.h"
 
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
+#include "common/durable_io.h"
 #include "common/strings.h"
 #include "common/timer.h"
 #include "server/thread_pool.h"
@@ -24,9 +23,8 @@ bool IsPnChar(char c) {
          c == '.';
 }
 
-}  // namespace
-
-Result<Term> ParseTerm(std::string_view line, size_t* pos) {
+/// ParseTerm into `*out`, reusing its strings' capacity (Term::Assign).
+Status ParseTermInto(std::string_view line, size_t* pos, Term* out) {
   SkipSpaces(line, pos);
   if (*pos >= line.size()) {
     return Status::ParseError("expected term, found end of line");
@@ -37,10 +35,10 @@ Result<Term> ParseTerm(std::string_view line, size_t* pos) {
     if (end == std::string_view::npos) {
       return Status::ParseError("unterminated IRI");
     }
-    std::string iri(line.substr(*pos + 1, end - *pos - 1));
-    if (iri.empty()) return Status::ParseError("empty IRI");
+    if (end == *pos + 1) return Status::ParseError("empty IRI");
+    out->Assign(TermKind::kIri, line.substr(*pos + 1, end - *pos - 1));
     *pos = end + 1;
-    return Term::Iri(std::move(iri));
+    return Status::OK();
   }
   if (c == '_') {
     if (*pos + 1 >= line.size() || line[*pos + 1] != ':') {
@@ -50,19 +48,21 @@ Result<Term> ParseTerm(std::string_view line, size_t* pos) {
     size_t end = start;
     while (end < line.size() && IsPnChar(line[end])) ++end;
     if (end == start) return Status::ParseError("empty blank node label");
-    std::string label(line.substr(start, end - start));
+    out->Assign(TermKind::kBlank, line.substr(start, end - start));
     *pos = end;
-    return Term::Blank(std::move(label));
+    return Status::OK();
   }
   if (c == '"') {
     // Find the closing quote, honouring backslash escapes.
     size_t end = *pos + 1;
     bool escaped = false;
+    bool has_escape = false;
     while (end < line.size()) {
       if (escaped) {
         escaped = false;
       } else if (line[end] == '\\') {
         escaped = true;
+        has_escape = true;
       } else if (line[end] == '"') {
         break;
       }
@@ -71,8 +71,14 @@ Result<Term> ParseTerm(std::string_view line, size_t* pos) {
     if (end >= line.size()) {
       return Status::ParseError("unterminated literal");
     }
-    PARJ_ASSIGN_OR_RETURN(std::string value,
-                          UnescapeLiteral(line.substr(*pos + 1, end - *pos - 1)));
+    std::string_view value = line.substr(*pos + 1, end - *pos - 1);
+    if (has_escape) {
+      // Per-thread buffer, so even escaped literals stop allocating once
+      // it has grown.
+      thread_local std::string unescaped;
+      PARJ_RETURN_NOT_OK(UnescapeLiteralInto(value, &unescaped));
+      value = unescaped;
+    }
     *pos = end + 1;
     // Optional language tag or datatype.
     if (*pos < line.size() && line[*pos] == '@') {
@@ -84,9 +90,10 @@ Result<Term> ParseTerm(std::string_view line, size_t* pos) {
         ++lang_end;
       }
       if (lang_end == start) return Status::ParseError("empty language tag");
-      std::string lang(line.substr(start, lang_end - start));
+      out->Assign(TermKind::kLiteral, value, {},
+                  line.substr(start, lang_end - start));
       *pos = lang_end;
-      return Term::LangLiteral(std::move(value), std::move(lang));
+      return Status::OK();
     }
     if (*pos + 1 < line.size() && line[*pos] == '^' && line[*pos + 1] == '^') {
       *pos += 2;
@@ -97,31 +104,36 @@ Result<Term> ParseTerm(std::string_view line, size_t* pos) {
       if (end_dt == std::string_view::npos) {
         return Status::ParseError("unterminated datatype IRI");
       }
-      std::string dt(line.substr(*pos + 1, end_dt - *pos - 1));
+      out->Assign(TermKind::kLiteral, value,
+                  line.substr(*pos + 1, end_dt - *pos - 1));
       *pos = end_dt + 1;
-      return Term::TypedLiteral(std::move(value), std::move(dt));
+      return Status::OK();
     }
-    return Term::Literal(std::move(value));
+    out->Assign(TermKind::kLiteral, value);
+    return Status::OK();
   }
   return Status::ParseError(std::string("unexpected character '") + c +
                             "' at start of term");
 }
 
-Result<Triple> ParseStatementLine(std::string_view raw) {
+/// ParseStatementLine into `*out`, reusing its terms' capacity: a line
+/// allocates nothing once `*out` has held terms at least as long. On
+/// error `*out` holds a partial parse.
+Status ParseStatementLineInto(std::string_view raw, Triple* out) {
   std::string_view line = TrimWhitespace(raw);
   if (line.empty() || line[0] == '#') {
     return Status::NotFound("blank or comment line");
   }
   size_t pos = 0;
-  PARJ_ASSIGN_OR_RETURN(Term subject, ParseTerm(line, &pos));
-  if (subject.is_literal()) {
+  PARJ_RETURN_NOT_OK(ParseTermInto(line, &pos, &out->subject));
+  if (out->subject.is_literal()) {
     return Status::ParseError("literal in subject position");
   }
-  PARJ_ASSIGN_OR_RETURN(Term predicate, ParseTerm(line, &pos));
-  if (!predicate.is_iri()) {
+  PARJ_RETURN_NOT_OK(ParseTermInto(line, &pos, &out->predicate));
+  if (!out->predicate.is_iri()) {
     return Status::ParseError("predicate must be an IRI");
   }
-  PARJ_ASSIGN_OR_RETURN(Term object, ParseTerm(line, &pos));
+  PARJ_RETURN_NOT_OK(ParseTermInto(line, &pos, &out->object));
   SkipSpaces(line, &pos);
   if (pos >= line.size() || line[pos] != '.') {
     return Status::ParseError("expected '.' terminating statement");
@@ -131,7 +143,21 @@ Result<Triple> ParseStatementLine(std::string_view raw) {
   if (pos != line.size()) {
     return Status::ParseError("trailing garbage after '.'");
   }
-  return Triple{std::move(subject), std::move(predicate), std::move(object)};
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Term> ParseTerm(std::string_view line, size_t* pos) {
+  Term term;
+  PARJ_RETURN_NOT_OK(ParseTermInto(line, pos, &term));
+  return term;
+}
+
+Result<Triple> ParseStatementLine(std::string_view line) {
+  Triple triple;
+  PARJ_RETURN_NOT_OK(ParseStatementLineInto(line, &triple));
+  return triple;
 }
 
 Status NTriplesParser::HandleLine(std::string_view line, uint64_t line_no,
@@ -190,14 +216,9 @@ Result<std::vector<Triple>> NTriplesParser::ParseToVector(
   return out;
 }
 
-namespace {
-
-/// Newline-aligned chunk byte ranges covering all of `text`. Every chunk
-/// except possibly the last ends just past a '\n'; a single line longer
-/// than `chunk_bytes` gets a correspondingly oversized chunk.
-std::vector<std::pair<size_t, size_t>> SplitNewlineChunks(
-    std::string_view text, size_t chunk_bytes) {
-  std::vector<std::pair<size_t, size_t>> chunks;
+std::vector<ChunkLines> SplitNewlineChunks(std::string_view text,
+                                           size_t chunk_bytes) {
+  std::vector<ChunkLines> chunks;
   if (chunk_bytes == 0) chunk_bytes = 1;
   size_t pos = 0;
   while (pos < text.size()) {
@@ -208,18 +229,25 @@ std::vector<std::pair<size_t, size_t>> SplitNewlineChunks(
       const size_t nl = text.find('\n', end - 1);
       end = (nl == std::string_view::npos) ? text.size() : nl + 1;
     }
-    chunks.emplace_back(pos, end);
+    ChunkLines& chunk = chunks.emplace_back();
+    chunk.begin_offset = pos;
+    chunk.end_offset = end;
     pos = end;
   }
   return chunks;
 }
 
-/// Parses one chunk; records errors with chunk-local 1-based line
-/// ordinals (rebased to file line numbers once all chunks report their
-/// line counts).
-void ParseOneChunk(std::string_view text, bool strict, ParsedChunk* chunk) {
+namespace {
+
+/// Walks one chunk's lines, parsing each into one scratch triple that is
+/// reused for the whole chunk; records errors with chunk-local 1-based
+/// line ordinals (rebased to file line numbers once all chunks report
+/// their line counts).
+void WalkOneChunk(std::string_view text, bool strict, size_t index,
+                  ChunkLines* chunk, const StatementSink& sink) {
   const std::string_view body =
       text.substr(chunk->begin_offset, chunk->end_offset - chunk->begin_offset);
+  Triple scratch;
   uint64_t local_line = 0;
   size_t start = 0;
   while (start < body.size()) {
@@ -228,12 +256,12 @@ void ParseOneChunk(std::string_view text, bool strict, ParsedChunk* chunk) {
                                       ? body.substr(start)
                                       : body.substr(start, end - start);
     ++local_line;
-    Result<Triple> triple = ParseStatementLine(line);
-    if (triple.ok()) {
-      chunk->triples.push_back(std::move(triple).value());
-    } else if (triple.status().code() != StatusCode::kNotFound) {
+    Status parsed = ParseStatementLineInto(line, &scratch);
+    if (parsed.ok()) {
+      sink(index, scratch);
+    } else if (!parsed.IsNotFound()) {
       chunk->errors.push_back(
-          ParsedChunk::LineError{local_line, triple.status().message()});
+          ChunkLines::LineError{local_line, parsed.message()});
       if (!strict) ++chunk->skipped_lines;
     }
     if (end == std::string_view::npos) break;
@@ -244,30 +272,22 @@ void ParseOneChunk(std::string_view text, bool strict, ParsedChunk* chunk) {
 
 }  // namespace
 
-Result<std::vector<ParsedChunk>> ParseTextParallel(
-    std::string_view text, const ParallelParseOptions& options) {
-  std::vector<ParsedChunk> chunks;
-  const auto ranges = SplitNewlineChunks(text, options.chunk_bytes);
-  chunks.resize(ranges.size());
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    chunks[c].begin_offset = ranges[c].first;
-    chunks[c].end_offset = ranges[c].second;
-  }
-
-  auto parse_one = [&](size_t c) {
-    ParseOneChunk(text, options.strict, &chunks[c]);
+Status WalkChunks(std::string_view text, const ParallelParseOptions& options,
+                  std::vector<ChunkLines>* chunks, const StatementSink& sink) {
+  auto walk_one = [&](size_t c) {
+    WalkOneChunk(text, options.strict, c, &(*chunks)[c], sink);
   };
-  if (options.pool != nullptr && chunks.size() > 1) {
-    options.pool->ParallelFor(chunks.size(), parse_one);
+  if (options.pool != nullptr && chunks->size() > 1) {
+    options.pool->ParallelFor(chunks->size(), walk_one);
   } else {
-    for (size_t c = 0; c < chunks.size(); ++c) parse_one(c);
+    for (size_t c = 0; c < chunks->size(); ++c) walk_one(c);
   }
 
   // Rebase chunk-local line ordinals to real file line numbers.
   uint64_t line_base = 0;
-  for (ParsedChunk& chunk : chunks) {
+  for (ChunkLines& chunk : *chunks) {
     chunk.first_line = line_base + 1;
-    for (ParsedChunk::LineError& error : chunk.errors) {
+    for (ChunkLines::LineError& error : chunk.errors) {
       error.line += line_base;
     }
     line_base += chunk.line_count;
@@ -276,9 +296,9 @@ Result<std::vector<ParsedChunk>> ParseTextParallel(
   if (options.strict) {
     // Fail with the earliest error, exactly as the serial parser's
     // first-error abort would have.
-    const ParsedChunk::LineError* first = nullptr;
-    for (const ParsedChunk& chunk : chunks) {
-      for (const ParsedChunk::LineError& error : chunk.errors) {
+    const ChunkLines::LineError* first = nullptr;
+    for (const ChunkLines& chunk : *chunks) {
+      for (const ChunkLines::LineError& error : chunk.errors) {
         if (first == nullptr || error.line < first->line) first = &error;
       }
     }
@@ -287,6 +307,23 @@ Result<std::vector<ParsedChunk>> ParseTextParallel(
                                 first->message);
     }
   }
+  return Status::OK();
+}
+
+Result<std::vector<ParsedChunk>> ParseTextParallel(
+    std::string_view text, const ParallelParseOptions& options) {
+  std::vector<ChunkLines> lines =
+      SplitNewlineChunks(text, options.chunk_bytes);
+  std::vector<std::vector<Triple>> triples(lines.size());
+  PARJ_RETURN_NOT_OK(WalkChunks(text, options, &lines,
+                                [&triples](size_t chunk, Triple& triple) {
+                                  triples[chunk].push_back(std::move(triple));
+                                }));
+  std::vector<ParsedChunk> chunks(lines.size());
+  for (size_t c = 0; c < lines.size(); ++c) {
+    static_cast<ChunkLines&>(chunks[c]) = std::move(lines[c]);
+    chunks[c].triples = std::move(triples[c]);
+  }
   return chunks;
 }
 
@@ -294,12 +331,7 @@ Result<std::vector<ParsedChunk>> ParseFileParallel(
     const std::string& path, const ParallelParseOptions& options,
     double* read_millis) {
   Stopwatch read_timer;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failure on " + path);
-  const std::string text = std::move(buffer).str();
+  PARJ_ASSIGN_OR_RETURN(const std::string text, io::ReadFile(path));
   if (read_millis != nullptr) *read_millis = read_timer.ElapsedMillis();
   return ParseTextParallel(text, options);
 }

@@ -68,11 +68,11 @@ void WriteNTriples(const std::vector<Triple>& triples, std::ostream& out);
 
 // --- Chunked parallel parsing (bulk-load pipeline, DESIGN.md §10) --------
 
-/// One parsed chunk of a parallel parse. Chunks partition the input at
-/// newline boundaries; all line numbers are real (1-based) file line
-/// numbers, identical to what a serial parse would report.
-struct ParsedChunk {
-  std::vector<Triple> triples;
+/// Line bookkeeping of one newline-aligned chunk of a chunked parse.
+/// Chunks partition the input at newline boundaries; all line numbers are
+/// real (1-based) file line numbers, identical to what a serial parse
+/// would report.
+struct ChunkLines {
   /// File line number of the chunk's first line.
   uint64_t first_line = 1;
   /// Lines in this chunk (a trailing line without '\n' counts).
@@ -93,6 +93,11 @@ struct ParsedChunk {
   std::vector<LineError> errors;
 };
 
+/// One parsed chunk of ParseTextParallel: its lines and its statements.
+struct ParsedChunk : ChunkLines {
+  std::vector<Triple> triples;
+};
+
 struct ParallelParseOptions {
   /// Strict: any malformed line fails the parse with "line N: ..." for
   /// the earliest offending line. Non-strict: malformed lines are skipped
@@ -105,17 +110,41 @@ struct ParallelParseOptions {
   server::ThreadPool* pool = nullptr;
 };
 
+/// Newline-aligned chunks of ~`chunk_bytes` covering all of `text` (byte
+/// ranges set, line fields still zero). Every chunk except possibly the
+/// last ends just past a '\n'; a single line longer than `chunk_bytes`
+/// gets a correspondingly oversized chunk. Empty input yields no chunks.
+std::vector<ChunkLines> SplitNewlineChunks(std::string_view text,
+                                           size_t chunk_bytes);
+
+/// Receives one well-formed statement of chunk `chunk`, on the thread
+/// walking that chunk, in line order within the chunk. `triple` is the
+/// walker's scratch triple, overwritten by the chunk's next statement:
+/// copy or move from it, keep no reference.
+using StatementSink = std::function<void(size_t chunk, Triple& triple)>;
+
+/// The chunk walker under ParseTextParallel and the streaming bulk load
+/// (DESIGN.md §10). Parses every chunk of `*chunks` (a SplitNewlineChunks
+/// result for `text`) — concurrently on options.pool — handing each
+/// statement to `sink`, then fills in the chunks' line accounting with
+/// real file line numbers. Strict: fails with "line N: ..." for the
+/// earliest malformed line once every chunk is walked. Non-strict:
+/// malformed lines are counted in `skipped_lines` and recorded per chunk.
+Status WalkChunks(std::string_view text, const ParallelParseOptions& options,
+                  std::vector<ChunkLines>* chunks, const StatementSink& sink);
+
 /// Splits `text` into newline-aligned chunks of ~`chunk_bytes` and parses
-/// them concurrently. The concatenated per-chunk triples are exactly the
-/// serial parse's output (same order); per-chunk error lists carry real
-/// line numbers. Empty input yields zero chunks.
+/// them concurrently (WalkChunks, collecting each chunk's statements).
+/// The concatenated per-chunk triples are exactly the serial parse's
+/// output (same order); per-chunk error lists carry real line numbers.
+/// Empty input yields zero chunks.
 Result<std::vector<ParsedChunk>> ParseTextParallel(
     std::string_view text, const ParallelParseOptions& options = {});
 
-/// Reads `path` fully into memory and parses it with ParseTextParallel
-/// (parsed Triples own their strings, so the file buffer is dropped on
-/// return). `read_millis`, when non-null, receives the file-to-memory
-/// read time.
+/// Reads `path` into one string sized from the file (io::ReadFile) and
+/// parses it with ParseTextParallel (parsed Triples own their strings, so
+/// the file buffer is dropped on return). `read_millis`, when non-null,
+/// receives the file-to-memory read time.
 Result<std::vector<ParsedChunk>> ParseFileParallel(
     const std::string& path, const ParallelParseOptions& options = {},
     double* read_millis = nullptr);

@@ -29,13 +29,12 @@ std::string EscapeLiteral(std::string_view value) {
   return out;
 }
 
-Result<std::string> UnescapeLiteral(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
+Status UnescapeLiteralInto(std::string_view value, std::string* out) {
+  out->clear();
   for (size_t i = 0; i < value.size(); ++i) {
     char c = value[i];
     if (c != '\\') {
-      out.push_back(c);
+      out->push_back(c);
       continue;
     }
     if (i + 1 >= value.size()) {
@@ -44,24 +43,31 @@ Result<std::string> UnescapeLiteral(std::string_view value) {
     char e = value[++i];
     switch (e) {
       case '\\':
-        out.push_back('\\');
+        out->push_back('\\');
         break;
       case '"':
-        out.push_back('"');
+        out->push_back('"');
         break;
       case 'n':
-        out.push_back('\n');
+        out->push_back('\n');
         break;
       case 'r':
-        out.push_back('\r');
+        out->push_back('\r');
         break;
       case 't':
-        out.push_back('\t');
+        out->push_back('\t');
         break;
       default:
         return Status::ParseError(std::string("unknown escape \\") + e);
     }
   }
+  return Status::OK();
+}
+
+Result<std::string> UnescapeLiteral(std::string_view value) {
+  std::string out;
+  out.reserve(value.size());
+  PARJ_RETURN_NOT_OK(UnescapeLiteralInto(value, &out));
   return out;
 }
 

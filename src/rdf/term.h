@@ -55,6 +55,17 @@ class Term {
     return t;
   }
 
+  /// Overwrites this term in place, reusing its strings' capacity. The
+  /// N-Triples chunk walker parses every line into one scratch triple
+  /// this way, so a line allocates nothing once the buffers have grown.
+  void Assign(TermKind kind, std::string_view lexical,
+              std::string_view datatype = {}, std::string_view lang = {}) {
+    kind_ = kind;
+    lexical_.assign(lexical);
+    datatype_.assign(datatype);
+    lang_.assign(lang);
+  }
+
   TermKind kind() const { return kind_; }
   bool is_iri() const { return kind_ == TermKind::kIri; }
   bool is_literal() const { return kind_ == TermKind::kLiteral; }
@@ -111,6 +122,9 @@ std::string EscapeLiteral(std::string_view value);
 
 /// Reverses EscapeLiteral.
 Result<std::string> UnescapeLiteral(std::string_view value);
+
+/// UnescapeLiteral into `*out` (cleared first, capacity kept).
+Status UnescapeLiteralInto(std::string_view value, std::string* out);
 
 }  // namespace parj::rdf
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "dict/sharded_encoder.h"
 #include "engine/parj_engine.h"
 #include "rdf/ntriples.h"
 #include "server/thread_pool.h"
 #include "storage/export.h"
 #include "storage/snapshot.h"
 #include "workload/lubm.h"
+#include "workload/watdiv.h"
 
 namespace parj::rdf {
 namespace {
@@ -202,9 +205,7 @@ std::string SnapshotBytes(const storage::Database& db) {
   return std::move(out).str();
 }
 
-std::string LubmText() {
-  workload::GeneratedData data =
-      workload::GenerateLubm({.universities = 1, .seed = 7});
+std::string ExportText(workload::GeneratedData data) {
   auto seed = ParjEngine::FromEncoded(std::move(data.dict),
                                       std::move(data.triples));
   PARJ_CHECK(seed.ok()) << seed.status().ToString();
@@ -212,6 +213,10 @@ std::string LubmText() {
   Status exported = storage::ExportNTriples(seed->database(), nt);
   PARJ_CHECK(exported.ok()) << exported.ToString();
   return std::move(nt).str();
+}
+
+std::string LubmText() {
+  return ExportText(workload::GenerateLubm({.universities = 1, .seed = 7}));
 }
 
 TEST(LoaderTest, ParallelLoadIsByteIdenticalToSerial) {
@@ -296,6 +301,195 @@ TEST(LoaderTest, FromSnapshotFileParallelMatchesDirectLoad) {
   EXPECT_EQ(SnapshotBytes(restored->database()),
             SnapshotBytes(original->database()));
   EXPECT_GT(restored->load_stats().total_millis, 0.0);
+}
+
+/// Every line shape a loader must survive: CRLF endings, blank and
+/// whitespace-only lines, comments, escaped literals, and malformed lines
+/// scattered through the document (the first is line 5).
+std::string MixedText() {
+  std::string text;
+  for (int i = 0; i < 400; ++i) {
+    const std::string n = std::to_string(i);
+    const std::string eol = (i % 3 == 0) ? "\r\n" : "\n";
+    switch (i % 9) {
+      case 0:
+        text += "<http://example.org/s" + n + "> <http://example.org/p> "
+                "<http://example.org/o" + std::to_string(i % 17) + "> ." + eol;
+        break;
+      case 1:
+        text += "_:b" + std::to_string(i % 23) +
+                " <http://example.org/q> \"quoted \\\"" + n +
+                "\\\" tab\\t\" ." + eol;
+        break;
+      case 2:
+        text += eol;  // blank
+        break;
+      case 3:
+        text += "# comment " + n + eol;
+        break;
+      case 4:
+        text += (i % 2 == 0) ? "<http://example.org/s" + n + "> <p> ." + eol
+                             : "\"literal\" <http://example.org/p> <o> ." + eol;
+        break;
+      case 5:
+        text += "<http://example.org/s" + std::to_string(i % 31) +
+                "> <http://example.org/r> \"" + n +
+                "\"^^<http://www.w3.org/2001/XMLSchema#integer> ." + eol;
+        break;
+      case 6:
+        text += "   \t" + eol;  // whitespace only
+        break;
+      case 7:
+        text += "<http://example.org/s" + n +
+                "> <http://example.org/l> \"label " + std::to_string(i % 13) +
+                "\"@en-GB ." + eol;
+        break;
+      default:
+        text += "<http://example.org/o" + std::to_string(i % 17) +
+                "> <http://example.org/p> _:b" + std::to_string(i % 23) +
+                " ." + eol;
+        break;
+    }
+  }
+  return text;
+}
+
+/// The pre-streaming load: ParseTextParallel materializes every chunk's
+/// triples, then EncodeChunk per chunk and MergeEncodedChunks.
+struct ReferenceLoad {
+  dict::Dictionary dict;
+  std::vector<EncodedTriple> triples;
+  uint64_t skipped_lines = 0;
+};
+
+Result<ReferenceLoad> MaterializedEncode(
+    std::string_view text, const rdf::ParallelParseOptions& options) {
+  PARJ_ASSIGN_OR_RETURN(std::vector<rdf::ParsedChunk> chunks,
+                        rdf::ParseTextParallel(text, options));
+  ReferenceLoad out;
+  std::vector<dict::EncodedChunk> parts;
+  for (const rdf::ParsedChunk& chunk : chunks) {
+    parts.push_back(dict::EncodeChunk(out.dict, chunk.triples));
+    out.skipped_lines += chunk.skipped_lines;
+  }
+  PARJ_ASSIGN_OR_RETURN(
+      out.triples,
+      dict::MergeEncodedChunks(&out.dict, std::move(parts), options.pool));
+  return out;
+}
+
+void ExpectSameDictionary(const dict::Dictionary& a, const dict::Dictionary& b,
+                          const std::string& where) {
+  ASSERT_EQ(a.resource_count(), b.resource_count()) << where;
+  ASSERT_EQ(a.predicate_count(), b.predicate_count()) << where;
+  for (TermId id = 1; id <= a.resource_count(); ++id) {
+    ASSERT_EQ(a.DecodeResource(id), b.DecodeResource(id))
+        << where << ", resource " << id;
+  }
+  for (PredicateId id = 1; id <= a.predicate_count(); ++id) {
+    ASSERT_EQ(a.DecodePredicate(id), b.DecodePredicate(id))
+        << where << ", predicate " << id;
+  }
+}
+
+/// Streamed load vs the materialized reference, at 1/2/8 threads with
+/// dozens of chunks: same dictionary ID by ID, same encoded triple order,
+/// same skipped-line count, byte-identical snapshots; in strict mode the
+/// same earliest "line N:" error.
+void ExpectStreamedMatchesMaterialized(const std::string& name,
+                                       const std::string& text, bool strict) {
+  const size_t chunk_bytes = std::max<size_t>(64, text.size() / 40);
+  for (int threads : {1, 2, 8}) {
+    const std::string where = name + ", " + std::to_string(threads) +
+                              " threads, strict=" + std::to_string(strict);
+    std::optional<server::ThreadPool> pool;
+    if (threads > 1) pool.emplace(threads);
+    rdf::ParallelParseOptions options;
+    options.strict = strict;
+    options.chunk_bytes = chunk_bytes;
+    options.pool = pool.has_value() ? &*pool : nullptr;
+
+    auto reference = MaterializedEncode(text, options);
+    dict::Dictionary streamed_dict;
+    dict::NTriplesEncodeStats stats;
+    auto streamed =
+        dict::EncodeNTriples(&streamed_dict, text, options, &stats);
+    EngineOptions engine_options;
+    engine_options.load.threads = threads;
+    engine_options.load.chunk_bytes = chunk_bytes;
+    engine_options.load.strict = strict;
+    auto engine = ParjEngine::FromNTriplesText(text, engine_options);
+
+    ASSERT_EQ(streamed.ok(), reference.ok()) << where;
+    ASSERT_EQ(engine.ok(), reference.ok()) << where;
+    if (!reference.ok()) {
+      EXPECT_EQ(streamed.status(), reference.status()) << where;
+      EXPECT_EQ(engine.status(), reference.status()) << where;
+      EXPECT_EQ(reference.status().message().rfind("line ", 0), 0u) << where;
+      continue;
+    }
+    EXPECT_GE(stats.chunks, 24u) << where;
+    ExpectSameDictionary(streamed_dict, reference->dict, where);
+    EXPECT_EQ(*streamed, reference->triples) << where;
+    EXPECT_EQ(stats.skipped_lines, reference->skipped_lines) << where;
+    EXPECT_EQ(engine->load_stats().skipped_lines, reference->skipped_lines)
+        << where;
+    auto expected = ParjEngine::FromEncoded(std::move(reference->dict),
+                                            std::move(reference->triples));
+    ASSERT_TRUE(expected.ok()) << where;
+    EXPECT_EQ(SnapshotBytes(engine->database()),
+              SnapshotBytes(expected->database()))
+        << where;
+  }
+}
+
+TEST(LoaderTest, FileLoadMatchesTextLoad) {
+  const std::string text = LubmText();
+  const std::string path = ::testing::TempDir() + "/parj_loader_file.nt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  EngineOptions options;
+  options.load.threads = 2;
+  options.load.chunk_bytes = size_t{1} << 14;
+  auto from_file = ParjEngine::FromNTriplesFile(path, options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+  auto from_text = ParjEngine::FromNTriplesText(text, options);
+  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+  EXPECT_EQ(SnapshotBytes(from_file->database()),
+            SnapshotBytes(from_text->database()));
+  EXPECT_EQ(from_file->load_stats().chunks, from_text->load_stats().chunks);
+  EXPECT_GE(from_file->load_stats().read_millis, 0.0);
+}
+
+TEST(LoaderTest, StreamedLoadMatchesMaterializedOnLubm) {
+  ExpectStreamedMatchesMaterialized("lubm", LubmText(), /*strict=*/true);
+}
+
+TEST(LoaderTest, StreamedLoadMatchesMaterializedOnWatdiv) {
+  ExpectStreamedMatchesMaterialized(
+      "watdiv", ExportText(workload::GenerateWatdiv({.scale = 1, .seed = 7})),
+      /*strict=*/true);
+}
+
+TEST(LoaderTest, StreamedLoadMatchesMaterializedOnMixedLines) {
+  const std::string text = MixedText();
+  ExpectStreamedMatchesMaterialized("mixed", text, /*strict=*/false);
+  ExpectStreamedMatchesMaterialized("mixed", text, /*strict=*/true);
+
+  EngineOptions strict;
+  strict.load.chunk_bytes = 64;
+  auto failed = ParjEngine::FromNTriplesText(text, strict);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().message().rfind("line 5: ", 0), 0u)
+      << failed.status().message();
+  EngineOptions lenient = strict;
+  lenient.load.strict = false;
+  auto loaded = ParjEngine::FromNTriplesText(text, lenient);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->load_stats().skipped_lines, 44u);  // i % 9 == 4, i < 400
 }
 
 }  // namespace
