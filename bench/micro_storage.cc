@@ -4,13 +4,16 @@
 // lookup of one key's full run and (b) a full sequential sweep.
 //
 // The binary also hard-asserts (before any benchmark runs) that a
-// dictionary lookup HIT performs zero heap allocations: the transparent
-// hash map is probed with a string_view into a thread-local scratch
-// buffer, so the old per-lookup DictionaryKey() string is gone. It also
-// asserts that stream-encoding N-Triples (the bulk load's fused parse +
-// chunk-local encode) of lines whose terms the base dictionary already
-// holds performs zero heap allocations per line. The counting operator
-// new below makes any regression fail the bench run.
+// dictionary lookup HIT performs zero heap allocations: the term table is
+// probed with a view of a key rendered into a thread-local scratch
+// buffer. It also asserts that stream-encoding N-Triples (the bulk load's
+// fused parse + chunk-local encode) of lines whose terms the base
+// dictionary already holds performs zero heap allocations per line; that
+// encoding lines of all-new terms allocates only for the geometric growth
+// of the chunk's delta tables, never once per term (and that the check
+// catches a per-term key std::string); and that ParjEngine::DecodeRow
+// allocates at most once per term cell plus once for the row. The
+// counting operator new below makes any regression fail the bench run.
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +28,7 @@
 #include "common/rng.h"
 #include "dict/dictionary.h"
 #include "dict/sharded_encoder.h"
+#include "engine/parj_engine.h"
 #include "rdf/ntriples.h"
 #include "storage/property_table.h"
 
@@ -360,6 +364,145 @@ void AssertStreamEncodeHitsDoNotAllocate() {
               2 * lines, static_cast<unsigned long long>(doubled));
 }
 
+/// N-Triples text of `lines` statements over one predicate whose subjects
+/// and objects are all distinct, with keys longer than the small-string
+/// buffer so a per-term key copy would have to allocate.
+std::string NewTermLines(size_t lines) {
+  std::string text;
+  for (size_t i = 0; i < lines; ++i) {
+    const std::string n = std::to_string(i);
+    text += "<http://example.org/subject/" + n +
+            "> <http://example.org/predicate> \"object value " + n +
+            "\" .\n";
+  }
+  return text;
+}
+
+/// Allocations made while `text` (`lines` lines of all-new terms) is
+/// walked and encoded against an empty base. `per_term_copy` adds the
+/// regression the check exists to catch: a std::string of every term's
+/// key, as the per-term key maps used to hold.
+uint64_t NewTermEncodeAllocations(const std::string& text, size_t lines,
+                                  bool per_term_copy) {
+  const dict::Dictionary base;
+  dict::ChunkEncoder encoder(base);
+  encoder.Reserve(lines);
+  std::vector<std::string> copies;
+  copies.reserve(3 * lines);
+  std::vector<rdf::ChunkLines> chunks =
+      rdf::SplitNewlineChunks(text, text.size());
+  const uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  const Status walked = rdf::WalkChunks(
+      text, {}, &chunks, [&](size_t, rdf::Triple& triple) {
+        encoder.Add(triple);
+        if (!per_term_copy) return;
+        for (const rdf::Term* term :
+             {&triple.subject, &triple.predicate, &triple.object}) {
+          copies.emplace_back(dict::ScratchKey(*term));
+        }
+      });
+  const uint64_t allocations =
+      g_allocation_count.load(std::memory_order_relaxed) - before;
+  const dict::EncodedChunk encoded = encoder.Finish();
+  if (!walked.ok() || encoded.triples.size() != lines ||
+      encoded.delta_resources.size() != 2 * lines ||
+      encoded.delta_predicates.size() != 1) {
+    std::fprintf(stderr,
+                 "FAIL: new-term encode setup: %s, %zu of %zu lines, %zu "
+                 "delta resources (expected %zu)\n",
+                 walked.ToString().c_str(), encoded.triples.size(), lines,
+                 encoded.delta_resources.size(), 2 * lines);
+    std::abort();
+  }
+  return allocations;
+}
+
+/// Aborts the binary unless encoding all-new terms allocates only for the
+/// growth of the delta tables. Eight times the lines may add at most
+/// four doublings (log2(8) = 3, plus one for rounding) to each of the
+/// two delta tables' three arrays — O(log n), where a per-term
+/// allocation would add thousands. The same check must reject the
+/// per-term key copy variant, or it proves nothing.
+void AssertNewTermEncodeAllocatesForGrowthOnly() {
+  constexpr size_t kLines = 2048;
+  constexpr uint64_t kGrowthBound = 2 * 3 * 4;
+  const std::string small = NewTermLines(kLines);
+  const std::string large = NewTermLines(8 * kLines);
+  NewTermEncodeAllocations(large, 8 * kLines, true);  // warm-up
+  const auto growth = [&](bool per_term_copy) {
+    return static_cast<int64_t>(
+               NewTermEncodeAllocations(large, 8 * kLines, per_term_copy)) -
+           static_cast<int64_t>(
+               NewTermEncodeAllocations(small, kLines, per_term_copy));
+  };
+  const int64_t tables = growth(false);
+  const int64_t copied = growth(true);
+  if (tables > static_cast<int64_t>(kGrowthBound) ||
+      copied <= static_cast<int64_t>(kGrowthBound)) {
+    std::fprintf(stderr,
+                 "FAIL: encoding %zu more lines of new terms made %lld more "
+                 "allocation(s) (bound %llu); with a per-term key copy "
+                 "%lld (must exceed the bound)\n",
+                 7 * kLines, static_cast<long long>(tables),
+                 static_cast<unsigned long long>(kGrowthBound),
+                 static_cast<long long>(copied));
+    std::abort();
+  }
+  std::printf("new-term encode allocation check: %zu more lines of new "
+              "terms, %lld more allocations (bound %llu; a per-term key "
+              "copy makes %lld)\n",
+              7 * kLines, static_cast<long long>(tables),
+              static_cast<unsigned long long>(kGrowthBound),
+              static_cast<long long>(copied));
+}
+
+/// Aborts the binary if ParjEngine::DecodeRow allocates more than once
+/// per term cell plus once for the row vector. Every key is longer than
+/// the small-string buffer, so each cell really allocates.
+void AssertDecodeRowAllocatesPerCell() {
+  std::vector<rdf::Triple> triples;
+  const rdf::Term p = rdf::Term::Iri("http://example.org/p");
+  const rdf::Term q = rdf::Term::Iri("http://example.org/q");
+  for (int i = 0; i < 256; ++i) {
+    const std::string n = std::to_string(i);
+    const rdf::Term b = rdf::Term::Iri("http://example.org/middle/" + n);
+    triples.push_back({rdf::Term::Iri("http://example.org/start/" + n), p, b});
+    triples.push_back({b, q, rdf::Term::Literal("a literal object " + n)});
+  }
+  auto engine = engine::ParjEngine::FromTriples(triples);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "FAIL: DecodeRow check setup: %s\n",
+                 engine.status().ToString().c_str());
+    std::abort();
+  }
+  auto result = engine->Execute(
+      "SELECT ?a ?b ?c WHERE { ?a <http://example.org/p> ?b . "
+      "?b <http://example.org/q> ?c }");
+  if (!result.ok() || result->row_count != 256) {
+    std::fprintf(stderr, "FAIL: DecodeRow check setup\n");
+    std::abort();
+  }
+  uint64_t worst = 0;
+  for (size_t row = 0; row < result->row_count; ++row) {
+    const uint64_t before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    const std::vector<std::string> cells = engine->DecodeRow(*result, row);
+    worst = std::max(
+        worst, g_allocation_count.load(std::memory_order_relaxed) - before);
+  }
+  if (worst > result->column_count + 1) {
+    std::fprintf(stderr,
+                 "FAIL: DecodeRow made %llu allocation(s) for a %zu-term "
+                 "row (expected at most %zu)\n",
+                 static_cast<unsigned long long>(worst), result->column_count,
+                 result->column_count + 1);
+    std::abort();
+  }
+  std::printf("DecodeRow allocation check: at most %llu allocations per "
+              "%zu-term row\n",
+              static_cast<unsigned long long>(worst), result->column_count);
+}
+
 /// Prints bytes/triple for the flat and bit-packed replica layouts over
 /// the same pair set, so every bench run records the compression ratio
 /// next to the latency numbers.
@@ -383,6 +526,8 @@ void ReportBytesPerTriple() {
 int main(int argc, char** argv) {
   parj::storage::AssertLookupHitsDoNotAllocate();
   parj::storage::AssertStreamEncodeHitsDoNotAllocate();
+  parj::storage::AssertNewTermEncodeAllocatesForGrowthOnly();
+  parj::storage::AssertDecodeRowAllocatesPerCell();
   parj::storage::ReportBytesPerTriple();
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

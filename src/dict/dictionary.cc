@@ -1,29 +1,20 @@
 #include "dict/dictionary.h"
 
-#include <utility>
-
 #include "common/logging.h"
 
 namespace parj::dict {
 
-namespace internal {
-
-std::string& TlsKeyBuffer() {
-  thread_local std::string buffer;
-  return buffer;
-}
-
-}  // namespace internal
-
 namespace {
 
-/// Builds `term`'s canonical key in the thread-local scratch buffer and
-/// returns a view of it (valid until the next call on this thread).
-std::string_view ScratchKey(const rdf::Term& term) {
-  std::string& key = internal::TlsKeyBuffer();
-  key.clear();
-  term.AppendDictionaryKey(&key);
-  return key;
+/// Inserts every key of `keys` into `*table` in index order; returns the
+/// 1-based IDs they got.
+std::vector<uint32_t> InsertAll(TermTable* table, const TermTable& keys) {
+  std::vector<uint32_t> ids(keys.size());
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    const std::string_view key = keys.Key(i);
+    ids[i] = table->Insert(key, TermTable::Hash(key)) + 1;
+  }
+  return ids;
 }
 
 }  // namespace
@@ -32,112 +23,69 @@ Dictionary Dictionary::Clone() const {
   Dictionary copy;
   copy.resources_ = resources_;
   copy.predicates_ = predicates_;
-  copy.resource_ids_ = resource_ids_;
-  copy.predicate_ids_ = predicate_ids_;
   return copy;
 }
 
-Result<Dictionary> Dictionary::FromTerms(std::vector<rdf::Term> resources,
-                                         std::vector<rdf::Term> predicates) {
+Result<Dictionary> Dictionary::FromTerms(
+    const std::vector<rdf::Term>& resources,
+    const std::vector<rdf::Term>& predicates) {
   Dictionary dict;
-  dict.resources_ = std::move(resources);
-  dict.predicates_ = std::move(predicates);
-  dict.resource_ids_.reserve(dict.resources_.size());
-  dict.predicate_ids_.reserve(dict.predicates_.size());
-  for (size_t i = 0; i < dict.resources_.size(); ++i) {
-    auto [it, inserted] = dict.resource_ids_.emplace(
-        dict.resources_[i].DictionaryKey(), static_cast<TermId>(i + 1));
-    if (!inserted) {
-      return Status::ParseError("duplicate resource term '" + it->first +
+  for (size_t i = 0; i < resources.size(); ++i) {
+    if (dict.EncodeResource(resources[i]) != i + 1) {
+      return Status::ParseError("duplicate resource term '" +
+                                resources[i].ToNTriples() +
                                 "' in bulk dictionary build");
     }
   }
-  for (size_t i = 0; i < dict.predicates_.size(); ++i) {
-    auto [it, inserted] = dict.predicate_ids_.emplace(
-        dict.predicates_[i].DictionaryKey(), static_cast<PredicateId>(i + 1));
-    if (!inserted) {
-      return Status::ParseError("duplicate predicate term '" + it->first +
+  for (size_t i = 0; i < predicates.size(); ++i) {
+    if (dict.EncodePredicate(predicates[i]) != i + 1) {
+      return Status::ParseError("duplicate predicate term '" +
+                                predicates[i].ToNTriples() +
                                 "' in bulk dictionary build");
     }
   }
   return dict;
 }
 
-void Dictionary::Reserve(size_t resources, size_t predicates) {
-  resources_.reserve(resources);
-  predicates_.reserve(predicates);
-  resource_ids_.reserve(resources);
-  predicate_ids_.reserve(predicates);
-}
-
 TermId Dictionary::EncodeResource(const rdf::Term& term) {
   const std::string_view key = ScratchKey(term);
-  auto it = resource_ids_.find(key);
-  if (it != resource_ids_.end()) return it->second;  // hit: no allocation
-  resources_.push_back(term);
-  TermId id = static_cast<TermId>(resources_.size());
-  resource_ids_.emplace(std::string(key), id);
-  return id;
-}
-
-TermId Dictionary::EncodeResource(rdf::Term&& term) {
-  const std::string_view key = ScratchKey(term);
-  auto it = resource_ids_.find(key);
-  if (it != resource_ids_.end()) return it->second;
-  resources_.push_back(std::move(term));
-  TermId id = static_cast<TermId>(resources_.size());
-  resource_ids_.emplace(std::string(key), id);
-  return id;
+  return EncodeResourceByKey(key, TermTable::Hash(key));
 }
 
 PredicateId Dictionary::EncodePredicate(const rdf::Term& term) {
   const std::string_view key = ScratchKey(term);
-  auto it = predicate_ids_.find(key);
-  if (it != predicate_ids_.end()) return it->second;
-  predicates_.push_back(term);
-  PredicateId id = static_cast<PredicateId>(predicates_.size());
-  predicate_ids_.emplace(std::string(key), id);
-  return id;
+  return EncodePredicateByKey(key, TermTable::Hash(key));
 }
 
-PredicateId Dictionary::EncodePredicate(rdf::Term&& term) {
-  const std::string_view key = ScratchKey(term);
-  auto it = predicate_ids_.find(key);
-  if (it != predicate_ids_.end()) return it->second;
-  predicates_.push_back(std::move(term));
-  PredicateId id = static_cast<PredicateId>(predicates_.size());
-  predicate_ids_.emplace(std::string(key), id);
-  return id;
+std::vector<TermId> Dictionary::EncodeResourceKeys(const TermTable& keys) {
+  return InsertAll(&resources_, keys);
+}
+
+std::vector<PredicateId> Dictionary::EncodePredicateKeys(
+    const TermTable& keys) {
+  return InsertAll(&predicates_, keys);
 }
 
 TermId Dictionary::LookupResource(const rdf::Term& term) const {
-  return LookupResourceByKey(ScratchKey(term));
+  const std::string_view key = ScratchKey(term);
+  return LookupResourceByKey(key, TermTable::Hash(key));
 }
 
 PredicateId Dictionary::LookupPredicate(const rdf::Term& term) const {
-  return LookupPredicateByKey(ScratchKey(term));
+  const std::string_view key = ScratchKey(term);
+  return LookupPredicateByKey(key, TermTable::Hash(key));
 }
 
-TermId Dictionary::LookupResourceByKey(std::string_view key) const {
-  auto it = resource_ids_.find(key);
-  return it == resource_ids_.end() ? kInvalidTermId : it->second;
-}
-
-PredicateId Dictionary::LookupPredicateByKey(std::string_view key) const {
-  auto it = predicate_ids_.find(key);
-  return it == predicate_ids_.end() ? kInvalidPredicateId : it->second;
-}
-
-const rdf::Term& Dictionary::DecodeResource(TermId id) const {
+std::string_view Dictionary::ResourceKey(TermId id) const {
   PARJ_CHECK(id != kInvalidTermId && id <= resources_.size())
       << "resource id out of range: " << id;
-  return resources_[id - 1];
+  return resources_.Key(id - 1);
 }
 
-const rdf::Term& Dictionary::DecodePredicate(PredicateId id) const {
+std::string_view Dictionary::PredicateKey(PredicateId id) const {
   PARJ_CHECK(id != kInvalidPredicateId && id <= predicates_.size())
       << "predicate id out of range: " << id;
-  return predicates_[id - 1];
+  return predicates_.Key(id - 1);
 }
 
 EncodedTriple Dictionary::Encode(const rdf::Triple& triple) {
@@ -173,23 +121,6 @@ rdf::Triple Dictionary::Decode(const EncodedTriple& triple) const {
   return rdf::Triple{DecodeResource(triple.subject),
                      DecodePredicate(triple.predicate),
                      DecodeResource(triple.object)};
-}
-
-size_t Dictionary::MemoryUsage() const {
-  size_t bytes = 0;
-  auto term_bytes = [](const rdf::Term& t) {
-    return sizeof(rdf::Term) + t.lexical().capacity() +
-           t.datatype().capacity() + t.lang().capacity();
-  };
-  for (const auto& t : resources_) bytes += term_bytes(t);
-  for (const auto& t : predicates_) bytes += term_bytes(t);
-  for (const auto& [k, v] : resource_ids_) {
-    bytes += k.capacity() + sizeof(v) + 32;  // bucket overhead estimate
-  }
-  for (const auto& [k, v] : predicate_ids_) {
-    bytes += k.capacity() + sizeof(v) + 32;
-  }
-  return bytes;
 }
 
 }  // namespace parj::dict

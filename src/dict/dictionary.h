@@ -1,51 +1,28 @@
 #ifndef PARJ_DICT_DICTIONARY_H_
 #define PARJ_DICT_DICTIONARY_H_
 
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "dict/term_table.h"
 #include "rdf/term.h"
 
 namespace parj::dict {
 
-/// Transparent (heterogeneous) hash for the dictionary's key maps: lets
-/// lookups probe with a `std::string_view` into a reused buffer, so a hit
-/// never allocates a key string. `std::hash<std::string_view>` is
-/// guaranteed to agree with `std::hash<std::string>` on equal content.
-struct TermKeyHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
-/// Map from a term's canonical dictionary key to an ID, with transparent
-/// lookup. Shared by the Dictionary itself and the chunk-local delta maps
-/// of the sharded encoder.
-template <typename V>
-using TermKeyMap = std::unordered_map<std::string, V, TermKeyHash,
-                                      std::equal_to<>>;
-
-namespace internal {
-/// Per-thread scratch buffer for building dictionary keys. Reused across
-/// calls, so after warm-up key construction never allocates.
-std::string& TlsKeyBuffer();
-}  // namespace internal
-
 /// Dictionary encoding for RDF terms (paper §3): every distinct value that
 /// appears in a subject or object position receives a dense integer ID from
 /// one shared ID space (1..N); predicates receive IDs from a second,
-/// independent space. ID 0 is reserved as invalid in both spaces.
+/// independent space. ID 0 is reserved as invalid in both spaces. Each
+/// space is one TermTable holding every term once, as its N-Triples key;
+/// ID i is the table's index i-1.
 ///
 /// The dictionary is append-only; IDs are assigned in first-seen order,
 /// which the loader exploits to make encoding deterministic for a given
-/// input order. Concurrent READERS (Lookup*/Decode*) are safe; any write
-/// (Encode* miss) requires exclusive access — the parallel bulk loader
-/// gets both by encoding chunks against a frozen dictionary plus
+/// input order. Concurrent READERS (Lookup*/Decode*/*Key) are safe; any
+/// write (Encode* miss) requires exclusive access — the parallel bulk
+/// loader gets both by encoding chunks against a frozen dictionary plus
 /// chunk-local deltas (see dict/sharded_encoder.h).
 class Dictionary {
  public:
@@ -59,46 +36,67 @@ class Dictionary {
   Dictionary(const Dictionary&) = delete;
   Dictionary& operator=(const Dictionary&) = delete;
 
-  /// Explicit deep copy preserving all ID assignments.
+  /// Explicit deep copy preserving all ID assignments: copies each
+  /// table's three arrays, with no per-term work.
   Dictionary Clone() const;
 
   /// Bulk-builds a dictionary whose ID assignment is positional:
-  /// resources[i] gets ID i+1, predicates[i] gets ID i+1. Used by the
-  /// parallel snapshot loader, which decodes the term arrays up front.
-  /// A duplicate term in either list yields ParseError.
-  static Result<Dictionary> FromTerms(std::vector<rdf::Term> resources,
-                                      std::vector<rdf::Term> predicates);
-
-  /// Pre-sizes the hash tables and term arrays (load-time optimization;
-  /// never required for correctness).
-  void Reserve(size_t resources, size_t predicates);
+  /// resources[i] gets ID i+1, predicates[i] gets ID i+1. A duplicate
+  /// term in either list yields ParseError.
+  static Result<Dictionary> FromTerms(
+      const std::vector<rdf::Term>& resources,
+      const std::vector<rdf::Term>& predicates);
 
   /// Returns the ID for `term`, inserting it if absent.
   TermId EncodeResource(const rdf::Term& term);
-  /// Move-inserting variant for bulk paths (the sharded encoder's merge).
-  TermId EncodeResource(rdf::Term&& term);
 
   /// Returns the ID for predicate `term`, inserting it if absent.
   PredicateId EncodePredicate(const rdf::Term& term);
-  PredicateId EncodePredicate(rdf::Term&& term);
+
+  /// Encode by a canonical key (Term::AppendNTriples) and its
+  /// TermTable::Hash, for callers that already hold both.
+  TermId EncodeResourceByKey(std::string_view key, uint64_t hash) {
+    return resources_.Insert(key, hash) + 1;
+  }
+  PredicateId EncodePredicateByKey(std::string_view key, uint64_t hash) {
+    return predicates_.Insert(key, hash) + 1;
+  }
+
+  /// Encodes every key of `keys` in index order — a bulk-load chunk's
+  /// delta or a compaction's overlay — and returns their IDs.
+  std::vector<TermId> EncodeResourceKeys(const TermTable& keys);
+  std::vector<PredicateId> EncodePredicateKeys(const TermTable& keys);
 
   /// Returns the ID for `term` or kInvalidTermId when absent.
-  /// Allocation-free on hits (transparent map probe on a reused buffer).
+  /// Allocation-free (the key is rendered into a reused buffer).
   TermId LookupResource(const rdf::Term& term) const;
 
   /// Returns the predicate ID or kInvalidPredicateId when absent.
   PredicateId LookupPredicate(const rdf::Term& term) const;
 
-  /// Lookup by a precomputed canonical key (Term::AppendDictionaryKey);
-  /// lets callers that already built the key probe without rebuilding it.
-  TermId LookupResourceByKey(std::string_view key) const;
-  PredicateId LookupPredicateByKey(std::string_view key) const;
+  /// Lookup by a canonical key and its TermTable::Hash.
+  TermId LookupResourceByKey(std::string_view key, uint64_t hash) const {
+    return resources_.Find(key, hash) + 1;  // kAbsent + 1 == invalid ID
+  }
+  PredicateId LookupPredicateByKey(std::string_view key, uint64_t hash) const {
+    return predicates_.Find(key, hash) + 1;
+  }
 
-  /// Decodes a resource ID. Asserts on out-of-range IDs.
-  const rdf::Term& DecodeResource(TermId id) const;
+  /// The stored N-Triples key of a resource / predicate ID. Asserts on
+  /// out-of-range IDs.
+  std::string_view ResourceKey(TermId id) const;
+  std::string_view PredicateKey(PredicateId id) const;
+
+  /// Decodes a resource ID (Term::FromKey of its key). Asserts on
+  /// out-of-range IDs.
+  rdf::Term DecodeResource(TermId id) const {
+    return rdf::Term::FromKey(ResourceKey(id));
+  }
 
   /// Decodes a predicate ID. Asserts on out-of-range IDs.
-  const rdf::Term& DecodePredicate(PredicateId id) const;
+  rdf::Term DecodePredicate(PredicateId id) const {
+    return rdf::Term::FromKey(PredicateKey(id));
+  }
 
   /// Encodes a string-level triple, inserting unseen terms.
   EncodedTriple Encode(const rdf::Triple& triple);
@@ -119,14 +117,14 @@ class Dictionary {
     return static_cast<PredicateId>(predicates_.size());
   }
 
-  /// Approximate heap footprint in bytes (strings + hash tables).
-  size_t MemoryUsage() const;
+  /// Heap bytes held by both tables (allocated capacity).
+  size_t MemoryUsage() const {
+    return resources_.MemoryUsage() + predicates_.MemoryUsage();
+  }
 
  private:
-  std::vector<rdf::Term> resources_;    // index = id - 1
-  std::vector<rdf::Term> predicates_;   // index = id - 1
-  TermKeyMap<TermId> resource_ids_;
-  TermKeyMap<PredicateId> predicate_ids_;
+  TermTable resources_;
+  TermTable predicates_;
 };
 
 }  // namespace parj::dict

@@ -9,51 +9,29 @@ namespace parj::dict {
 
 namespace {
 
-/// Encodes one term against base + delta, assigning a provisional delta
-/// index on a double miss. `delta_ids` maps key -> local index into
-/// `delta_terms`.
-template <typename LookupByKey>
-TermId EncodeTermAgainst(const rdf::Term& term, const LookupByKey& base_lookup,
-                         TermKeyMap<TermId>* delta_ids,
-                         std::vector<rdf::Term>* delta_terms) {
-  std::string& key = internal::TlsKeyBuffer();
-  key.clear();
-  term.AppendDictionaryKey(&key);
-  const std::string_view view(key);
-  const TermId base_id = base_lookup(view);
-  if (base_id != kInvalidTermId) return base_id;
-  auto it = delta_ids->find(view);
-  if (it != delta_ids->end()) return kDeltaTag | it->second;
-  const TermId local = static_cast<TermId>(delta_terms->size());
-  delta_terms->push_back(term);
-  delta_ids->emplace(std::string(view), local);
-  return kDeltaTag | local;
+/// `term`'s final ID when the base holds it, else kDeltaTag | its index in
+/// the chunk-local `delta` (inserted on first sight). The key is hashed
+/// once for both probes.
+TermId EncodeAgainst(const Dictionary& base, bool predicate,
+                     const rdf::Term& term, TermTable* delta) {
+  const std::string_view key = ScratchKey(term);
+  const uint64_t hash = TermTable::Hash(key);
+  const TermId id = predicate ? base.LookupPredicateByKey(key, hash)
+                              : base.LookupResourceByKey(key, hash);
+  return id != kInvalidTermId ? id : kDeltaTag | delta->Insert(key, hash);
 }
 
 }  // namespace
 
 void ChunkEncoder::Add(const rdf::Triple& triple) {
-  const auto resource_lookup = [this](std::string_view key) {
-    return base_->LookupResourceByKey(key);
-  };
-  const auto predicate_lookup = [this](std::string_view key) {
-    return base_->LookupPredicateByKey(key);
-  };
   EncodedTriple e;
-  e.subject = EncodeTermAgainst(triple.subject, resource_lookup,
-                                &resource_delta_ids_, &chunk_.delta_resources);
-  e.predicate = EncodeTermAgainst(triple.predicate, predicate_lookup,
-                                  &predicate_delta_ids_,
-                                  &chunk_.delta_predicates);
-  e.object = EncodeTermAgainst(triple.object, resource_lookup,
-                               &resource_delta_ids_, &chunk_.delta_resources);
+  e.subject = EncodeAgainst(*base_, false, triple.subject,
+                            &chunk_.delta_resources);
+  e.predicate = EncodeAgainst(*base_, true, triple.predicate,
+                              &chunk_.delta_predicates);
+  e.object = EncodeAgainst(*base_, false, triple.object,
+                           &chunk_.delta_resources);
   chunk_.triples.push_back(e);
-}
-
-EncodedChunk ChunkEncoder::Finish() {
-  resource_delta_ids_ = {};
-  predicate_delta_ids_ = {};
-  return std::exchange(chunk_, {});
 }
 
 EncodedChunk EncodeChunk(const Dictionary& base,
@@ -75,16 +53,10 @@ Result<std::vector<EncodedTriple>> MergeEncodedChunks(
   uint64_t total_triples = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
     EncodedChunk& chunk = chunks[c];
-    resource_remap[c].reserve(chunk.delta_resources.size());
-    for (rdf::Term& term : chunk.delta_resources) {
-      resource_remap[c].push_back(base->EncodeResource(std::move(term)));
-    }
-    chunk.delta_resources.clear();
-    predicate_remap[c].reserve(chunk.delta_predicates.size());
-    for (rdf::Term& term : chunk.delta_predicates) {
-      predicate_remap[c].push_back(base->EncodePredicate(std::move(term)));
-    }
-    chunk.delta_predicates.clear();
+    resource_remap[c] = base->EncodeResourceKeys(chunk.delta_resources);
+    chunk.delta_resources = {};
+    predicate_remap[c] = base->EncodePredicateKeys(chunk.delta_predicates);
+    chunk.delta_predicates = {};
     total_triples += chunk.triples.size();
   }
   if (base->resource_count() >= kDeltaTag ||

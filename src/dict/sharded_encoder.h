@@ -2,11 +2,13 @@
 #define PARJ_DICT_SHARDED_ENCODER_H_
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
 #include "dict/dictionary.h"
+#include "dict/term_table.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
 
@@ -41,19 +43,20 @@ inline constexpr TermId kDeltaTag = TermId{1} << 31;
 /// One chunk's provisional encoding.
 struct EncodedChunk {
   /// Triples whose IDs are either final (base hits) or provisional
-  /// (kDeltaTag set; low bits index the delta lists below).
+  /// (kDeltaTag set; low bits index the delta tables below).
   std::vector<EncodedTriple> triples;
-  /// Terms unknown to the base, in first-occurrence (subject, predicate,
-  /// object within each triple) order.
-  std::vector<rdf::Term> delta_resources;
-  std::vector<rdf::Term> delta_predicates;
+  /// Keys of the terms unknown to the base, in first-occurrence (subject,
+  /// predicate, object within each triple) order.
+  TermTable delta_resources;
+  TermTable delta_predicates;
 };
 
 /// Phase 1 for one chunk, one statement at a time. Safe to run
 /// concurrently with other encoders sharing `base`, as long as nothing
-/// mutates `base` meanwhile. A statement whose terms the base or the
-/// delta already holds allocates nothing (transparent-hash probes on a
-/// reused key buffer) beyond the amortized growth of the triple list.
+/// mutates `base` meanwhile. Each term's key is rendered into a reused
+/// buffer and hashed once, for the base probe and the delta insert, so
+/// a statement allocates nothing beyond the amortized growth of the
+/// triple list and the delta tables.
 class ChunkEncoder {
  public:
   explicit ChunkEncoder(const Dictionary& base) : base_(&base) {}
@@ -65,12 +68,10 @@ class ChunkEncoder {
   void Add(const rdf::Triple& triple);
 
   /// Hands over the encoded chunk; the encoder is empty afterwards.
-  EncodedChunk Finish();
+  EncodedChunk Finish() { return std::exchange(chunk_, {}); }
 
  private:
   const Dictionary* base_;
-  TermKeyMap<TermId> resource_delta_ids_;
-  TermKeyMap<TermId> predicate_delta_ids_;
   EncodedChunk chunk_;
 };
 

@@ -838,12 +838,12 @@ std::vector<std::string> ParjEngine::DecodeRow(const QueryResult& result,
   const mut::TermOverlay& overlay = snap.delta().overlay();
   std::vector<std::string> out;
   out.reserve(result.column_count);
+  // A term cell is one exact-size copy of the stored N-Triples key.
   const auto decode_term = [&](TermId id) -> std::string {
-    if (id <= dict.resource_count()) {
-      return dict.DecodeResource(id).ToNTriples();
-    }
-    const rdf::Term* term = overlay.DecodeResource(id);
-    return term != nullptr ? term->ToNTriples() : std::string("?");
+    const std::string_view key = id <= dict.resource_count()
+                                     ? dict.ResourceKey(id)
+                                     : overlay.ResourceKey(id);
+    return key.empty() ? std::string("?") : std::string(key);
   };
   if (!result.column_kinds.empty()) {
     // Aggregated layout: row-major u64 cells typed by column_kinds.

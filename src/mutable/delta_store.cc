@@ -260,16 +260,12 @@ Status DeltaStore::Compact() {
     const TermOverlay& overlay = view.overlay();
 
     dict::Dictionary dict = old_base.dictionary().Clone();
-    for (const rdf::Term& term : overlay.resources()) {
-      const TermId id = dict.EncodeResource(term);
-      PARJ_CHECK(id == dict.resource_count())
-          << "overlay resource folded to an unexpected ID";
-    }
-    for (const rdf::Term& term : overlay.predicates()) {
-      const PredicateId id = dict.EncodePredicate(term);
-      PARJ_CHECK(id == dict.predicate_count())
-          << "overlay predicate folded to an unexpected ID";
-    }
+    dict.EncodeResourceKeys(overlay.resources());
+    dict.EncodePredicateKeys(overlay.predicates());
+    // Every overlay key is new to the base, so each landed on its ID.
+    PARJ_CHECK(dict.resource_count() == overlay.resource_count() &&
+               dict.predicate_count() == overlay.predicate_count())
+        << "overlay terms folded to unexpected IDs";
 
     std::vector<EncodedTriple> triples;
     triples.reserve(old_base.total_triples() + view.insert_triples());

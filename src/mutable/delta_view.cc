@@ -2,69 +2,30 @@
 
 namespace parj::mut {
 
-namespace {
-
-/// Canonical dictionary key for `term` in the per-thread reuse buffer
-/// (same keying as dict::Dictionary, so base and overlay agree on term
-/// identity).
-std::string_view KeyFor(const rdf::Term& term) {
-  std::string& buf = dict::internal::TlsKeyBuffer();
-  buf.clear();
-  term.AppendDictionaryKey(&buf);
-  return buf;
-}
-
-}  // namespace
-
 TermId TermOverlay::AddResource(const rdf::Term& term) {
-  const std::string_view key = KeyFor(term);
-  auto it = resource_ids_.find(key);
-  if (it != resource_ids_.end()) return it->second;
-  resources_.push_back(term);
-  const TermId id = base_resources_ + static_cast<TermId>(resources_.size());
-  resource_ids_.emplace(std::string(key), id);
-  return id;
+  const std::string_view key = dict::ScratchKey(term);
+  return base_resources_ + 1 +
+         resources_.Insert(key, dict::TermTable::Hash(key));
 }
 
 PredicateId TermOverlay::AddPredicate(const rdf::Term& term) {
-  const std::string_view key = KeyFor(term);
-  auto it = predicate_ids_.find(key);
-  if (it != predicate_ids_.end()) return it->second;
-  predicates_.push_back(term);
-  const PredicateId id =
-      base_predicates_ + static_cast<PredicateId>(predicates_.size());
-  predicate_ids_.emplace(std::string(key), id);
-  return id;
+  const std::string_view key = dict::ScratchKey(term);
+  return base_predicates_ + 1 +
+         predicates_.Insert(key, dict::TermTable::Hash(key));
 }
 
 TermId TermOverlay::LookupResource(const rdf::Term& term) const {
-  auto it = resource_ids_.find(KeyFor(term));
-  return it == resource_ids_.end() ? kInvalidTermId : it->second;
+  const std::string_view key = dict::ScratchKey(term);
+  const uint32_t index = resources_.Find(key, dict::TermTable::Hash(key));
+  return index == dict::TermTable::kAbsent ? kInvalidTermId
+                                           : base_resources_ + 1 + index;
 }
 
 PredicateId TermOverlay::LookupPredicate(const rdf::Term& term) const {
-  auto it = predicate_ids_.find(KeyFor(term));
-  return it == predicate_ids_.end() ? kInvalidPredicateId : it->second;
-}
-
-const rdf::Term* TermOverlay::DecodeResource(TermId id) const {
-  if (id <= base_resources_ || id > resource_count()) return nullptr;
-  return &resources_[id - base_resources_ - 1];
-}
-
-const rdf::Term* TermOverlay::DecodePredicate(PredicateId id) const {
-  if (id <= base_predicates_ || id > predicate_count()) return nullptr;
-  return &predicates_[id - base_predicates_ - 1];
-}
-
-size_t TermOverlay::MemoryUsage() const {
-  size_t bytes = resources_.capacity() * sizeof(rdf::Term) +
-                 predicates_.capacity() * sizeof(rdf::Term);
-  for (const rdf::Term& t : resources_) bytes += t.lexical().capacity();
-  for (const rdf::Term& t : predicates_) bytes += t.lexical().capacity();
-  bytes += resource_ids_.size() * (sizeof(void*) * 4);
-  bytes += predicate_ids_.size() * (sizeof(void*) * 4);
-  return bytes;
+  const std::string_view key = dict::ScratchKey(term);
+  const uint32_t index = predicates_.Find(key, dict::TermTable::Hash(key));
+  return index == dict::TermTable::kAbsent ? kInvalidPredicateId
+                                           : base_predicates_ + 1 + index;
 }
 
 DeltaView::DeltaView(std::vector<std::shared_ptr<const PropertyDelta>> props,

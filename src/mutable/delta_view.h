@@ -2,11 +2,11 @@
 #define PARJ_MUTABLE_DELTA_VIEW_H_
 
 #include <memory>
-#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
-#include "dict/dictionary.h"
+#include "dict/term_table.h"
 #include "rdf/term.h"
 #include "storage/property_table.h"
 
@@ -37,7 +37,8 @@ struct PropertyDelta {
 
 /// Immutable snapshot of the terms allocated past a base dictionary: new
 /// resources get IDs base_resource_count+1.., new predicates likewise, in
-/// first-seen order. Readers (query encode, row decode) probe the overlay
+/// first-seen order, each stored once as its N-Triples key in a
+/// dict::TermTable. Readers (query encode, row decode) probe the overlay
 /// after missing in the base dictionary; because IDs are append-only and
 /// never reassigned, an ID decoded against any later overlay of the same
 /// store decodes to the same term.
@@ -59,10 +60,17 @@ class TermOverlay {
   TermId LookupResource(const rdf::Term& term) const;
   PredicateId LookupPredicate(const rdf::Term& term) const;
 
-  /// Decodes an overlay resource ID; nullptr for IDs at or below the base
-  /// count (the base dictionary owns those) or past the overlay.
-  const rdf::Term* DecodeResource(TermId id) const;
-  const rdf::Term* DecodePredicate(PredicateId id) const;
+  /// The N-Triples key of an overlay resource / predicate ID; empty (no
+  /// key is) for IDs at or below the base count (the base dictionary owns
+  /// those) or past the overlay.
+  std::string_view ResourceKey(TermId id) const {
+    if (id <= base_resources_ || id > resource_count()) return {};
+    return resources_.Key(id - base_resources_ - 1);
+  }
+  std::string_view PredicateKey(PredicateId id) const {
+    if (id <= base_predicates_ || id > predicate_count()) return {};
+    return predicates_.Key(id - base_predicates_ - 1);
+  }
 
   TermId base_resource_count() const { return base_resources_; }
   PredicateId base_predicate_count() const { return base_predicates_; }
@@ -73,23 +81,24 @@ class TermOverlay {
     return base_predicates_ + static_cast<PredicateId>(predicates_.size());
   }
 
-  /// Overlay terms in allocation order (IDs base_count+1, +2, ...) — the
+  /// Overlay keys in allocation order (index i is ID base_count+1+i) — the
   /// order compaction folds them into the next base dictionary, which is
   /// what keeps every previously handed-out ID stable.
-  std::span<const rdf::Term> resources() const { return resources_; }
-  std::span<const rdf::Term> predicates() const { return predicates_; }
+  const dict::TermTable& resources() const { return resources_; }
+  const dict::TermTable& predicates() const { return predicates_; }
 
   bool empty() const { return resources_.empty() && predicates_.empty(); }
 
-  size_t MemoryUsage() const;
+  /// Heap bytes held by both tables (allocated capacity).
+  size_t MemoryUsage() const {
+    return resources_.MemoryUsage() + predicates_.MemoryUsage();
+  }
 
  private:
   TermId base_resources_;
   PredicateId base_predicates_;
-  std::vector<rdf::Term> resources_;   // index = id - base_resources_ - 1
-  std::vector<rdf::Term> predicates_;  // index = id - base_predicates_ - 1
-  dict::TermKeyMap<TermId> resource_ids_;
-  dict::TermKeyMap<PredicateId> predicate_ids_;
+  dict::TermTable resources_;
+  dict::TermTable predicates_;
 };
 
 /// An immutable, shareable view of every pending write at one publish

@@ -75,6 +75,19 @@ bool CompareDoubles(double lhs, FilterOp op, double rhs) {
   return false;
 }
 
+/// Decodes resource `id` — a base dictionary ID, else an `overlay` ID —
+/// into the reused `*term`; false when neither holds it. The loops over
+/// every ID below decode this way, so they allocate nothing per ID.
+bool DecodeInto(const dict::Dictionary& dict, const mut::TermOverlay* overlay,
+                TermId id, rdf::Term* term) {
+  const std::string_view key = id <= dict.resource_count()
+                                   ? dict.ResourceKey(id)
+                                   : overlay->ResourceKey(id);
+  if (key.empty()) return false;
+  term->AssignKey(key);
+  return true;
+}
+
 FilterOp FlipOp(FilterOp op) {
   switch (op) {
     case FilterOp::kLt:
@@ -223,12 +236,11 @@ Result<EncodedQuery> EncodeQuery(const SelectQueryAst& ast,
                                                : dict.resource_count();
       auto passing = std::make_shared<std::vector<bool>>(
           static_cast<size_t>(max_id) + 1, false);
+      rdf::Term term;
       for (TermId id = 1; id <= max_id; ++id) {
-        const rdf::Term* term = id <= dict.resource_count()
-                                    ? &dict.DecodeResource(id)
-                                    : overlay->DecodeResource(id);
         double value;
-        if (term != nullptr && TryNumericValue(*term, &value) &&
+        if (DecodeInto(dict, overlay, id, &term) &&
+            TryNumericValue(term, &value) &&
             CompareDoubles(value, filter.op, bound)) {
           (*passing)[id] = true;
         }
@@ -338,12 +350,11 @@ Result<EncodedQuery> EncodeQuery(const SelectQueryAst& ast,
       auto table = std::make_shared<std::vector<double>>(
           static_cast<size_t>(max_id) + 1,
           std::numeric_limits<double>::quiet_NaN());
+      rdf::Term term;
       for (TermId id = 1; id <= max_id; ++id) {
-        const rdf::Term* term = id <= dict.resource_count()
-                                    ? &dict.DecodeResource(id)
-                                    : overlay->DecodeResource(id);
         double value;
-        if (term != nullptr && TryNumericValue(*term, &value)) {
+        if (DecodeInto(dict, overlay, id, &term) &&
+            TryNumericValue(term, &value)) {
           (*table)[id] = value;
         }
       }

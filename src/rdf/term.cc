@@ -127,6 +127,44 @@ void Term::AppendNTriples(std::string* out) const {
   }
 }
 
+void Term::AssignKey(std::string_view key) {
+  datatype_.clear();
+  lang_.clear();
+  switch (key.front()) {
+    case '<':
+      kind_ = TermKind::kIri;
+      lexical_.assign(key.substr(1, key.size() - 2));
+      return;
+    case '_':
+      kind_ = TermKind::kBlank;
+      lexical_.assign(key.substr(2));
+      return;
+    default:
+      break;
+  }
+  kind_ = TermKind::kLiteral;
+  // Every quote inside the escaped lexical is escaped, so the first quote
+  // closes it unless a backslash precedes it.
+  size_t end = key.find('"', 1);
+  const bool escaped =
+      key.substr(1, end - 1).find('\\') != std::string_view::npos;
+  if (escaped) {
+    end = 1;
+    while (key[end] != '"') end += key[end] == '\\' ? 2 : 1;
+    // AppendNTriples writes only escapes UnescapeLiteralInto reverses.
+    (void)UnescapeLiteralInto(key.substr(1, end - 1), &lexical_);
+  } else {
+    lexical_.assign(key.substr(1, end - 1));
+  }
+  const std::string_view rest = key.substr(end + 1);
+  if (rest.empty()) return;
+  if (rest.front() == '@') {
+    lang_.assign(rest.substr(1));
+  } else {
+    datatype_.assign(rest.substr(3, rest.size() - 4));  // ^^<datatype>
+  }
+}
+
 std::string Term::ToNTriples() const {
   std::string out;
   AppendNTriples(&out);

@@ -92,9 +92,22 @@ class Term {
   /// keys and equal terms to equal keys.
   std::string DictionaryKey() const { return ToNTriples(); }
 
-  /// Appends DictionaryKey() to `*out` (same bytes, no fresh allocation
-  /// once `out` has capacity).
-  void AppendDictionaryKey(std::string* out) const { AppendNTriples(out); }
+  /// Overwrites this term with the one whose AppendNTriples rendering is
+  /// `key` — the exact inverse, reusing the strings' capacity. The first
+  /// byte gives the kind; an IRI or blank-node lexical is a slice of the
+  /// key; a literal's lexical runs to the first unescaped `"` and is
+  /// unescaped only when it holds a `\`, followed by `@lang` or
+  /// `^^<datatype>`. Unlike the N-Triples parser it accepts any IRI
+  /// AppendNTriples can render (spaces, quotes, backslashes). `key` must
+  /// be such a rendering.
+  void AssignKey(std::string_view key);
+
+  /// The term whose AppendNTriples rendering is `key` (see AssignKey).
+  static Term FromKey(std::string_view key) {
+    Term t;
+    t.AssignKey(key);
+    return t;
+  }
 
   friend bool operator==(const Term& a, const Term& b) {
     return a.kind_ == b.kind_ && a.lexical_ == b.lexical_ &&

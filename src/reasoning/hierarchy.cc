@@ -52,7 +52,9 @@ Hierarchy Hierarchy::FromDatabase(const storage::Database& db) {
     // predicate id (when the property has direct assertions).
     auto map_resource = [&](TermId resource) {
       if (h.resource_to_predicate_.count(resource) != 0) return;
-      PredicateId pid = dict.LookupPredicate(dict.DecodeResource(resource));
+      const std::string_view key = dict.ResourceKey(resource);
+      const PredicateId pid =
+          dict.LookupPredicateByKey(key, dict::TermTable::Hash(key));
       if (pid != kInvalidPredicateId) {
         h.resource_to_predicate_.emplace(resource, pid);
         h.predicate_to_resource_.emplace(pid, resource);

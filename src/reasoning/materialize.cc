@@ -21,8 +21,9 @@ Result<ClosureData> MaterializeHierarchies(const storage::Database& db,
   std::vector<std::vector<PredicateId>> supers(db.predicate_count() + 1);
   for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
     for (TermId resource : hierarchy.SuperPropertyResourcesOf(pid)) {
+      const std::string_view key = out.dict.ResourceKey(resource);
       supers[pid].push_back(
-          out.dict.EncodePredicate(out.dict.DecodeResource(resource)));
+          out.dict.EncodePredicateByKey(key, dict::TermTable::Hash(key)));
     }
   }
 

@@ -647,7 +647,7 @@ class BufferCursor {
 
 /// Structural scan of a v2 snapshot. Validates everything the streaming
 /// walker validates except the CRCs themselves (recorded for later parallel
-/// verification) and term uniqueness (checked by Dictionary::FromTerms).
+/// verification) and term uniqueness (checked by the dictionary insert).
 Status ScanSnapshotV2(const char* data, size_t size, SnapshotLayout* layout,
                       SnapshotInfo* info) {
   BufferCursor cur(data, size);
@@ -757,38 +757,36 @@ Status ScanSnapshotV2(const char* data, size_t size, SnapshotLayout* layout,
   return Status::OK();
 }
 
-/// Decodes the term record at `pos` (already bounds- and kind-validated by
-/// the scan), mirroring SnapshotReader::ReadTerm's construction rules.
-rdf::Term DecodeTermAt(const char* data, size_t pos) {
-  const uint8_t kind_byte = static_cast<uint8_t>(data[pos]);
+/// Renders the term record at `pos` (already bounds- and kind-validated
+/// by the scan) as its dictionary key, appended to `*out`. The record's
+/// fields go through one reused scratch term, whose AppendNTriples applies
+/// SnapshotReader::ReadTerm's construction rules: IRIs and blank nodes
+/// ignore datatype and lang, and a language tag wins over a datatype.
+void AppendKeyAt(const char* data, size_t pos, rdf::Term* scratch,
+                 std::string* out) {
+  const auto kind = static_cast<rdf::TermKind>(data[pos]);
   pos += 1;
   const auto take_string = [&]() {
     uint32_t length;
     std::memcpy(&length, data + pos, 4);
-    pos += 4;
-    std::string s(data + pos, length);
-    pos += length;
+    const std::string_view s(data + pos + 4, length);
+    pos += 4 + length;
     return s;
   };
-  std::string lexical = take_string();
-  std::string datatype = take_string();
-  std::string lang = take_string();
-  switch (static_cast<rdf::TermKind>(kind_byte)) {
-    case rdf::TermKind::kIri:
-      return rdf::Term::Iri(std::move(lexical));
-    case rdf::TermKind::kBlank:
-      return rdf::Term::Blank(std::move(lexical));
-    case rdf::TermKind::kLiteral:
-      break;
-  }
-  if (!lang.empty()) {
-    return rdf::Term::LangLiteral(std::move(lexical), std::move(lang));
-  }
-  if (!datatype.empty()) {
-    return rdf::Term::TypedLiteral(std::move(lexical), std::move(datatype));
-  }
-  return rdf::Term::Literal(std::move(lexical));
+  const std::string_view lexical = take_string();
+  const std::string_view datatype = take_string();
+  const std::string_view lang = take_string();
+  scratch->Assign(kind, lexical, datatype, lang);
+  scratch->AppendNTriples(out);
 }
+
+/// One term-range task's output: its keys back to back, each key's end
+/// offset, and each key's TermTable::Hash.
+struct KeyRange {
+  std::string bytes;
+  std::vector<size_t> ends;
+  std::vector<uint64_t> hashes;
+};
 
 /// Verifies one section's computed CRC against the stored word, with the
 /// streaming reader's exact diagnostics and counter updates.
@@ -809,20 +807,17 @@ Status CheckSectionCrc(const char* section, const SectionSpan& span,
   return Status::OK();
 }
 
-/// The parallel v2 load: scan serially, then CRC + decode on `pool`.
-/// Returns the decoded dictionary terms and triples; CRC failures are
-/// reported in the streaming walker's section order.
+/// The parallel v2 load: scan serially, then CRC + key rendering and
+/// hashing + triple decode on `pool`, then the keys' serial insert into
+/// `*dict` in ID order. CRC failures are reported in the streaming
+/// walker's section order, before any duplicate-term error.
 Status DecodeSnapshotParallel(const char* data, size_t size,
-                              server::ThreadPool* pool,
-                              std::vector<rdf::Term>* resources,
-                              std::vector<rdf::Term>* predicates,
+                              server::ThreadPool* pool, dict::Dictionary* dict,
                               std::vector<EncodedTriple>* triples,
                               SnapshotInfo* info) {
   SnapshotLayout layout;
   PARJ_RETURN_NOT_OK(ScanSnapshotV2(data, size, &layout, info));
 
-  resources->resize(layout.resource_count);
-  predicates->resize(layout.predicate_count);
   triples->resize(layout.triple_count);
 
   // Task list: two section CRCs + term-range decodes + triple-range
@@ -843,16 +838,19 @@ Status DecodeSnapshotParallel(const char* data, size_t size,
   const size_t total_terms = layout.term_offsets.size();
   const size_t term_stride = std::max<size_t>(
       1024, total_terms / (static_cast<size_t>(pool->thread_count()) * 4 + 1));
-  for (size_t begin = 0; begin < total_terms; begin += term_stride) {
-    const size_t end = std::min(begin + term_stride, total_terms);
-    tasks.push_back([&, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
-        rdf::Term term = DecodeTermAt(data, layout.term_offsets[i]);
-        if (i < layout.resource_count) {
-          (*resources)[i] = std::move(term);
-        } else {
-          (*predicates)[i - layout.resource_count] = std::move(term);
-        }
+  std::vector<KeyRange> key_ranges((total_terms + term_stride - 1) /
+                                    term_stride);
+  for (size_t r = 0; r < key_ranges.size(); ++r) {
+    tasks.push_back([&, r] {
+      KeyRange& range = key_ranges[r];
+      rdf::Term scratch;
+      const size_t end = std::min((r + 1) * term_stride, total_terms);
+      for (size_t i = r * term_stride; i < end; ++i) {
+        const size_t begin = range.bytes.size();
+        AppendKeyAt(data, layout.term_offsets[i], &scratch, &range.bytes);
+        range.ends.push_back(range.bytes.size());
+        range.hashes.push_back(dict::TermTable::Hash(
+            std::string_view(range.bytes).substr(begin)));
       }
     });
   }
@@ -894,6 +892,26 @@ Status DecodeSnapshotParallel(const char* data, size_t size,
   GlobalSnapshotStats().crc_sections_verified.fetch_add(
       1, std::memory_order_relaxed);
   ++info->sections_verified;
+
+  size_t i = 0;  // term index: resources first, then predicates
+  for (const KeyRange& range : key_ranges) {
+    size_t begin = 0;
+    for (size_t k = 0; k < range.ends.size(); ++k, ++i) {
+      const std::string_view key(range.bytes.data() + begin,
+                                 range.ends[k] - begin);
+      begin = range.ends[k];
+      if (i < layout.resource_count) {
+        if (dict->EncodeResourceByKey(key, range.hashes[k]) != i + 1) {
+          return Status::ParseError(
+              "snapshot contains duplicate resource terms");
+        }
+      } else if (dict->EncodePredicateByKey(key, range.hashes[k]) !=
+                 i - layout.resource_count + 1) {
+        return Status::ParseError(
+            "snapshot contains duplicate predicate terms");
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -913,13 +931,18 @@ Status WriteSnapshot(const Database& db, std::ostream& out, uint32_t version) {
 
   const dict::Dictionary& dict = db.dictionary();
   if (checked) writer.BeginSection(kSectionDictionary);
+  // Term records keep their (kind, lexical, datatype, lang) layout: each
+  // key decodes into one reused scratch term.
+  rdf::Term term;
   writer.WriteU32(dict.resource_count());
   for (TermId id = 1; id <= dict.resource_count(); ++id) {
-    writer.WriteTerm(dict.DecodeResource(id));
+    term.AssignKey(dict.ResourceKey(id));
+    writer.WriteTerm(term);
   }
   writer.WriteU32(dict.predicate_count());
   for (PredicateId id = 1; id <= dict.predicate_count(); ++id) {
-    writer.WriteTerm(dict.DecodePredicate(id));
+    term.AssignKey(dict.PredicateKey(id));
+    writer.WriteTerm(term);
   }
   if (checked) writer.EndSection();
 
@@ -1040,14 +1063,9 @@ Result<Database> ReadSnapshot(std::istream& in, const DatabaseOptions& options,
     if (version == kSnapshotVersionV2 &&
         std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) == 0) {
       server::ThreadPool pool(load.threads);
-      std::vector<rdf::Term> resources;
-      std::vector<rdf::Term> predicates;
       PARJ_RETURN_NOT_OK(DecodeSnapshotParallel(buffer.data(), buffer.size(),
-                                                &pool, &resources, &predicates,
-                                                &triples, &info));
-      PARJ_ASSIGN_OR_RETURN(dict, dict::Dictionary::FromTerms(
-                                      std::move(resources),
-                                      std::move(predicates)));
+                                                &pool, &dict, &triples,
+                                                &info));
     } else {
       std::istringstream replay(std::move(buffer));
       PARJ_RETURN_NOT_OK(ParseSnapshot(replay, /*build=*/true, &dict,

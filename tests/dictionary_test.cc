@@ -1,6 +1,10 @@
 #include "dict/dictionary.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "test_util.h"
 
 namespace parj::dict {
 namespace {
@@ -111,12 +115,18 @@ TEST(DictionaryTest, LookupByPrecomputedKey) {
   Dictionary dict;
   dict.EncodeResource(Term::Iri("a"));
   dict.EncodePredicate(Term::Iri("p"));
-  EXPECT_EQ(dict.LookupResourceByKey(Term::Iri("a").DictionaryKey()), 1u);
-  EXPECT_EQ(dict.LookupResourceByKey(Term::Iri("nope").DictionaryKey()),
-            kInvalidTermId);
-  EXPECT_EQ(dict.LookupPredicateByKey(Term::Iri("p").DictionaryKey()), 1u);
-  EXPECT_EQ(dict.LookupPredicateByKey(Term::Iri("a").DictionaryKey()),
-            kInvalidPredicateId);  // separate ID space
+  const auto resource = [&](const Term& term) {
+    const std::string key = term.DictionaryKey();
+    return dict.LookupResourceByKey(key, TermTable::Hash(key));
+  };
+  const auto predicate = [&](const Term& term) {
+    const std::string key = term.DictionaryKey();
+    return dict.LookupPredicateByKey(key, TermTable::Hash(key));
+  };
+  EXPECT_EQ(resource(Term::Iri("a")), 1u);
+  EXPECT_EQ(resource(Term::Iri("nope")), kInvalidTermId);
+  EXPECT_EQ(predicate(Term::Iri("p")), 1u);
+  EXPECT_EQ(predicate(Term::Iri("a")), kInvalidPredicateId);  // separate space
 }
 
 TEST(DictionaryTest, FromTermsAssignsPositionalIds) {
@@ -158,6 +168,102 @@ TEST(DictionaryTest, ManyTermsKeepDistinctIds) {
   }
   EXPECT_EQ(dict.resource_count(), 10000u);
   EXPECT_EQ(dict.LookupResource(Term::Iri("r9999")), 10000u);
+}
+
+TEST(DictionaryTest, KeysDecodeBackToTheirTerms) {
+  Dictionary dict;
+  for (const Term& term : test::KeyEdgeTerms()) {
+    const TermId id = dict.EncodeResource(term);
+    EXPECT_EQ(dict.ResourceKey(id), term.ToNTriples());
+    EXPECT_EQ(dict.DecodeResource(id), term) << term.ToNTriples();
+    if (term.is_iri()) {
+      EXPECT_EQ(dict.DecodePredicate(dict.EncodePredicate(term)), term);
+    }
+  }
+  EXPECT_EQ(dict.resource_count(), test::KeyEdgeTerms().size());
+}
+
+TEST(DictionaryTest, MemoryUsageCountsEveryKeyByte) {
+  // A long datatype IRI and language tag are part of the stored key.
+  Dictionary dict;
+  const size_t empty = dict.MemoryUsage();
+  const std::string long_part(4096, 'x');
+  dict.EncodeResource(Term::TypedLiteral("v", "http://ex.org/" + long_part));
+  dict.EncodeResource(Term::LangLiteral("v", long_part));
+  EXPECT_GE(dict.MemoryUsage(), empty + 2 * long_part.size());
+}
+
+// ---- TermTable -------------------------------------------------------
+
+std::string KeyOf(int i) { return "<http://ex.org/k" + std::to_string(i) + ">"; }
+
+TEST(TermTableTest, InsertFindAndGrow) {
+  TermTable table;
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.Find("<a>", TermTable::Hash("<a>")), TermTable::kAbsent);
+  constexpr int kKeys = 5000;  // many doublings past the first index
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = KeyOf(i);
+    ASSERT_EQ(table.Insert(key, TermTable::Hash(key)),
+              static_cast<uint32_t>(i));
+  }
+  ASSERT_EQ(table.size(), static_cast<size_t>(kKeys));
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = KeyOf(i);
+    const uint64_t hash = TermTable::Hash(key);
+    EXPECT_EQ(table.Key(i), key);
+    EXPECT_EQ(table.Find(key, hash), static_cast<uint32_t>(i));
+    EXPECT_EQ(table.Insert(key, hash), static_cast<uint32_t>(i));
+  }
+  EXPECT_EQ(table.size(), static_cast<size_t>(kKeys));  // re-inserts no-op
+  const std::string absent = KeyOf(kKeys);
+  EXPECT_EQ(table.Find(absent, TermTable::Hash(absent)), TermTable::kAbsent);
+}
+
+TEST(TermTableTest, EqualTagsStillCompareKeyBytes) {
+  // Every key under one forged hash: one tag, one probe chain.
+  TermTable table;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(table.Insert(KeyOf(i), 42), static_cast<uint32_t>(i));
+  }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(table.Find(KeyOf(i), 42), static_cast<uint32_t>(i));
+  }
+  EXPECT_EQ(table.Find(KeyOf(100), 42), TermTable::kAbsent);
+}
+
+TEST(TermTableTest, CopyIsDeepAndIndependent) {
+  TermTable table;
+  for (int i = 0; i < 100; ++i) table.Insert(KeyOf(i), TermTable::Hash(KeyOf(i)));
+  TermTable copy = table;
+  for (int i = 100; i < 300; ++i) {
+    EXPECT_EQ(copy.Insert(KeyOf(i), TermTable::Hash(KeyOf(i))),
+              static_cast<uint32_t>(i));
+  }
+  EXPECT_EQ(table.size(), 100u);
+  EXPECT_EQ(table.Find(KeyOf(150), TermTable::Hash(KeyOf(150))),
+            TermTable::kAbsent);
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(copy.Find(KeyOf(i), TermTable::Hash(KeyOf(i))),
+              static_cast<uint32_t>(i));
+  }
+}
+
+TEST(TermTableTest, MemoryUsageIsTheCapacityOfItsArrays) {
+  TermTable table;
+  EXPECT_EQ(table.MemoryUsage(), 0u);
+  constexpr size_t kKeys = 1000;
+  size_t key_bytes = 0;
+  for (size_t i = 0; i < kKeys; ++i) {
+    const std::string key = KeyOf(static_cast<int>(i));
+    key_bytes += key.size();
+    table.Insert(key, TermTable::Hash(key));
+  }
+  // At least the key bytes, one 8-byte end offset per key and 8-byte
+  // slots at load factor <= 3/4; geometric growth at most doubles each.
+  const size_t floor = key_bytes + kKeys * 8 + kKeys * 4 / 3 * 8;
+  EXPECT_GE(table.MemoryUsage(), floor);
+  EXPECT_LE(table.MemoryUsage(), 2 * floor);
 }
 
 }  // namespace

@@ -61,11 +61,13 @@ engine::ParjEngine RebuildReference(const engine::ParjEngine& live,
                                     const std::set<NameTriple>& logical) {
   const MvccSnapshot snap = live.snapshot();
   dict::Dictionary dict = snap.base().dictionary().Clone();
-  for (const rdf::Term& term : snap.delta().overlay().resources()) {
-    dict.EncodeResource(term);
+  const dict::TermTable& resources = snap.delta().overlay().resources();
+  for (uint32_t i = 0; i < resources.size(); ++i) {
+    dict.EncodeResource(rdf::Term::FromKey(resources.Key(i)));
   }
-  for (const rdf::Term& term : snap.delta().overlay().predicates()) {
-    dict.EncodePredicate(term);
+  const dict::TermTable& predicates = snap.delta().overlay().predicates();
+  for (uint32_t i = 0; i < predicates.size(); ++i) {
+    dict.EncodePredicate(rdf::Term::FromKey(predicates.Key(i)));
   }
   std::vector<EncodedTriple> triples;
   triples.reserve(logical.size());

@@ -78,15 +78,50 @@ TEST(TermOverlayTest, AllocatesPastBaseAndDecodes) {
   EXPECT_EQ(overlay.LookupResource(rdf::Term::Iri("new2")), r2);
   EXPECT_EQ(overlay.LookupResource(rdf::Term::Iri("absent")), kInvalidTermId);
 
-  ASSERT_NE(overlay.DecodeResource(r1), nullptr);
-  EXPECT_EQ(overlay.DecodeResource(r1)->ToNTriples(), "<new1>");
+  EXPECT_EQ(overlay.ResourceKey(r1), "<new1>");
   // Base-range and out-of-range IDs are not the overlay's to decode.
-  EXPECT_EQ(overlay.DecodeResource(10), nullptr);
-  EXPECT_EQ(overlay.DecodeResource(13), nullptr);
+  EXPECT_TRUE(overlay.ResourceKey(10).empty());
+  EXPECT_TRUE(overlay.ResourceKey(13).empty());
 
   const PredicateId p1 = overlay.AddPredicate(rdf::Term::Iri("newp"));
   EXPECT_EQ(p1, 4u);
   EXPECT_EQ(overlay.LookupPredicate(rdf::Term::Iri("newp")), p1);
+}
+
+TEST(TermOverlayTest, IdsContinuePastBaseCountsAndFoldInOrder) {
+  dict::Dictionary base;
+  for (const rdf::Term& term : test::KeyEdgeTerms()) base.EncodeResource(term);
+  base.EncodePredicate(rdf::Term::Iri("p"));
+  TermOverlay overlay(base.resource_count(), base.predicate_count());
+  const TermId first = overlay.AddResource(rdf::Term::Literal("new \"one\""));
+  const TermId second = overlay.AddResource(rdf::Term::Blank("new2"));
+  EXPECT_EQ(first, base.resource_count() + 1);
+  EXPECT_EQ(second, base.resource_count() + 2);
+  EXPECT_EQ(overlay.AddPredicate(rdf::Term::Iri("q")),
+            base.predicate_count() + 1);
+
+  // Compaction's fold: clone the base, append the overlay keys in order;
+  // every overlay ID then names the same key in the new dictionary.
+  dict::Dictionary folded = base.Clone();
+  const std::vector<TermId> ids = folded.EncodeResourceKeys(overlay.resources());
+  EXPECT_EQ(ids, (std::vector<TermId>{first, second}));
+  for (TermId id = first; id <= overlay.resource_count(); ++id) {
+    EXPECT_EQ(folded.ResourceKey(id), overlay.ResourceKey(id));
+  }
+  EXPECT_EQ(folded.DecodeResource(first), rdf::Term::Literal("new \"one\""));
+}
+
+TEST(TermOverlayTest, DeltaBytesCountEveryKeyByte) {
+  // A long datatype IRI and language tag are part of each stored key, so
+  // the delta_bytes gauge must grow by at least their length.
+  auto overlay = std::make_shared<TermOverlay>(10, 3);
+  const std::string long_part(4096, 'x');
+  overlay->AddResource(
+      rdf::Term::TypedLiteral("v", "http://ex.org/" + long_part));
+  overlay->AddResource(rdf::Term::LangLiteral("v", long_part));
+  EXPECT_GE(overlay->MemoryUsage(), 2 * long_part.size());
+  const DeltaView view({}, overlay, /*sequence=*/1);
+  EXPECT_EQ(view.DeltaBytes(), overlay->MemoryUsage());
 }
 
 // ---- Write semantics -------------------------------------------------

@@ -123,10 +123,10 @@ TEST(ShardedDictTest, UnknownTermsGetTaggedProvisionalIds) {
   };
   EncodedChunk chunk =
       EncodeChunk(base, std::span<const Triple>(triples.data(), 2));
-  // Delta lists hold first occurrences in (s, p, o) scan order.
+  // Delta tables hold first occurrences in (s, p, o) scan order.
   ASSERT_EQ(chunk.delta_resources.size(), 2u);
-  EXPECT_EQ(chunk.delta_resources[0], Term::Iri("a"));
-  EXPECT_EQ(chunk.delta_resources[1], Term::Iri("b"));
+  EXPECT_EQ(Term::FromKey(chunk.delta_resources.Key(0)), Term::Iri("a"));
+  EXPECT_EQ(Term::FromKey(chunk.delta_resources.Key(1)), Term::Iri("b"));
   ASSERT_EQ(chunk.delta_predicates.size(), 1u);
   // Every ID is provisional: kDeltaTag | delta index.
   EXPECT_EQ(chunk.triples[0].subject, kDeltaTag | 0u);
@@ -154,8 +154,10 @@ TEST(ShardedDictTest, CrossChunkDuplicatesKeepFirstChunkId) {
   encoded.push_back(
       EncodeChunk(base, std::span<const Triple>(triples.data() + 1, 1)));
   // Both chunks saw "shared" as a fresh delta term.
-  EXPECT_EQ(encoded[0].delta_resources[0], Term::Iri("shared"));
-  EXPECT_EQ(encoded[1].delta_resources[1], Term::Iri("shared"));
+  EXPECT_EQ(Term::FromKey(encoded[0].delta_resources.Key(0)),
+            Term::Iri("shared"));
+  EXPECT_EQ(Term::FromKey(encoded[1].delta_resources.Key(1)),
+            Term::Iri("shared"));
 
   auto merged = MergeEncodedChunks(&base, std::move(encoded));
   ASSERT_TRUE(merged.ok());

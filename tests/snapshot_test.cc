@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "engine/parj_engine.h"
 #include "test_util.h"
@@ -287,6 +288,46 @@ TEST(SnapshotTest, ParallelLoadMatchesSerialByteForByte) {
     EXPECT_EQ(rewrite(*parallel), rewrite(*serial)) << threads << " threads";
     EXPECT_GE(stats.decode_millis, 0.0);
   }
+}
+
+/// Pins the v3 snapshot bytes of a fixed dataset: hand-written N-Triples
+/// covering every term kind and escape, then LUBM-1 (seed 42), loaded
+/// through the multi-chunk parallel N-Triples path. The length and
+/// CRC-32C are the values the format produced before the dictionary kept
+/// its terms as N-Triples keys; any change to IDs, triple order or term
+/// records shows up here.
+TEST(SnapshotTest, GoldenBytesOfFixedDataset) {
+  std::string text =
+      "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n"
+      "<http://ex.org/with space> <http://ex.org/p> "
+      "<http://ex.org/q\"uote\\back> .\n"
+      "_:b1 <http://ex.org/p> \"plain\" .\n"
+      "_:b1 <http://ex.org/p> \"\" .\n"
+      "_:b2 <http://ex.org/p> \"esc \\\" \\\\ \\n \\r \\t end\" .\n"
+      "_:b2 <http://ex.org/lang> \"bonjour \\\"monde\\\"\"@fr-CA .\n"
+      "_:b2 <http://ex.org/lang> \"\"@en .\n"
+      "_:b2 <http://ex.org/typed> "
+      "\"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n"
+      "_:b2 <http://ex.org/typed> \"\"^^<http://ex.org/dt\"quote> .\n"
+      "<http://ex.org/o> <http://ex.org/p\\q> \"a@b^^<c>\" .\n";
+  workload::GeneratedData data =
+      workload::GenerateLubm({.universities = 1, .seed = 42});
+  for (const EncodedTriple& t : data.triples) {
+    text += data.dict.DecodeResource(t.subject).ToNTriples() + " " +
+            data.dict.DecodePredicate(t.predicate).ToNTriples() + " " +
+            data.dict.DecodeResource(t.object).ToNTriples() + " .\n";
+  }
+  engine::EngineOptions options;
+  options.load.threads = 4;
+  options.load.chunk_bytes = 64 << 10;
+  auto engine = engine::ParjEngine::FromNTriplesText(text, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_GT(engine->load_stats().chunks, 1u);
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteSnapshot(engine->database(), buffer).ok());
+  const std::string bytes = buffer.str();
+  EXPECT_EQ(bytes.size(), 1053284u);
+  EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), 0xa8743c45u);
 }
 
 TEST(SnapshotTest, ParallelLoadDetectsCorruption) {

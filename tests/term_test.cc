@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace parj::rdf {
 namespace {
 
@@ -72,6 +74,23 @@ TEST(UnescapeLiteralTest, RejectsDanglingEscape) {
 
 TEST(UnescapeLiteralTest, RejectsUnknownEscape) {
   EXPECT_FALSE(UnescapeLiteral("a\\qb").ok());
+}
+
+TEST(TermKeyTest, FromKeyInvertsAppendNTriples) {
+  for (const Term& term : test::KeyEdgeTerms()) {
+    const std::string key = term.ToNTriples();
+    EXPECT_EQ(Term::FromKey(key), term) << key;
+  }
+}
+
+TEST(TermKeyTest, AssignKeyOverwritesEveryField) {
+  // One scratch term decodes a run of keys; no field of an earlier term
+  // may leak into a later one.
+  Term scratch = Term::LangLiteral("stale", "de");
+  for (const Term& term : test::KeyEdgeTerms()) {
+    scratch.AssignKey(term.ToNTriples());
+    EXPECT_EQ(scratch, term) << term.ToNTriples();
+  }
 }
 
 TEST(TripleTest, Equality) {

@@ -59,6 +59,32 @@ inline query::EncodedQuery Encode(const std::string& sparql,
   return std::move(enc).value();
 }
 
+/// Terms whose dictionary keys stress the key decode rule: IRIs holding
+/// characters a literal would escape, every escape in plain, tagged and
+/// typed literals, empty lexicals, and datatype IRIs holding `"` or `>`.
+inline std::vector<rdf::Term> KeyEdgeTerms() {
+  using rdf::Term;
+  return {
+      Term::Iri("http://ex.org/a b"),
+      Term::Iri("http://ex.org/a>b"),
+      Term::Iri("http://ex.org/\"quoted\""),
+      Term::Iri("http://ex.org/back\\slash"),
+      Term::Blank("b0"),
+      Term::Blank("node-1.x"),
+      Term::Literal("plain"),
+      Term::Literal(""),
+      Term::Literal("q\" b\\ n\n r\r t\t"),
+      Term::Literal("ends in a backslash\\"),
+      Term::Literal("\"^^<x>@en"),
+      Term::LangLiteral("bonjour \"monde\"\n", "fr-CA"),
+      Term::LangLiteral("", "en"),
+      Term::TypedLiteral("4\t2", "http://www.w3.org/2001/XMLSchema#integer"),
+      Term::TypedLiteral("", "http://ex.org/dt"),
+      Term::TypedLiteral("x\\\"y", "http://ex.org/dt\"quote"),
+      Term::TypedLiteral("v", "http://ex.org/dt>gt"),
+  };
+}
+
 /// Sorts row-major rows lexicographically for order-insensitive compare.
 inline std::vector<std::vector<TermId>> ToSortedRows(
     const std::vector<TermId>& flat, size_t width) {
