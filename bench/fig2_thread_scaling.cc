@@ -2,7 +2,12 @@
 // The paper excludes the very selective L4-L6 (no gain) and shows
 // near-linear improvement for the rest; we print both the modelled
 // parallel time (max over shard times — exact for share-nothing shards)
-// and the speedup factor.
+// and the speedup factor. A second table reports real-thread wall time
+// on the shared ThreadPool, under the paper's static shards and the
+// default morsel scheduling, so the model can be checked against this
+// host's cores.
+
+#include <thread>
 
 #include "bench_util.h"
 
@@ -23,11 +28,14 @@ int Run() {
   engine::ParjEngine engine = BuildEngine(std::move(data));
 
   const int kThreadCounts[] = {1, 2, 4, 8, 16};
+  // Paper Figure 2 plots L1-L3 and L7-L10 plus L2; it excludes L4-L6.
+  auto excluded = [](const std::string& name) {
+    return name == "LUBM4" || name == "LUBM5" || name == "LUBM6";
+  };
 
   TablePrinter table({"Query", "1", "2", "4", "8", "16", "speedup@16"});
-  // Paper Figure 2 plots L1-L3 and L7-L10 plus L2; it excludes L4-L6.
   for (const auto& q : workload::LubmQueries()) {
-    if (q.name == "LUBM4" || q.name == "LUBM5" || q.name == "LUBM6") continue;
+    if (excluded(q.name)) continue;
     std::vector<std::string> row = {q.name};
     double t1 = 0.0;
     double t16 = 0.0;
@@ -48,6 +56,38 @@ int Run() {
     table.AddRow(std::move(row));
   }
   table.Print();
+
+  std::printf(
+      "\nReal-thread wall time (ms, parse + optimize + execute) on %u "
+      "hardware threads:\n\n",
+      std::thread::hardware_concurrency());
+  TablePrinter real({"Query", "Scheduling", "1", "2", "4", "8", "16",
+                     "speedup@4"});
+  for (const auto& q : workload::LubmQueries()) {
+    if (excluded(q.name)) continue;
+    for (join::Scheduling scheduling :
+         {join::Scheduling::kStatic, join::Scheduling::kMorsel}) {
+      std::vector<std::string> row = {q.name,
+                                      join::SchedulingName(scheduling)};
+      double t1 = 0.0;
+      double t4 = 0.0;
+      for (int threads : kThreadCounts) {
+        engine::QueryOptions opts;
+        opts.strategy = join::SearchStrategy::kAdaptiveIndex;
+        opts.num_threads = threads;
+        opts.scheduling = scheduling;
+        TimedRun run = TimeQuery(engine, q.sparql, opts, repeats);
+        row.push_back(FormatMillis(run.millis));
+        if (threads == 1) t1 = run.millis;
+        if (threads == 4) t4 = run.millis;
+      }
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.1fx", t1 / std::max(1e-6, t4));
+      row.push_back(buf);
+      real.AddRow(std::move(row));
+    }
+  }
+  real.Print();
 
   std::printf(
       "\nShape check: complex queries (L1-L3, L7-L10) and the unselective\n"

@@ -501,55 +501,66 @@ Result<QueryResult> ExecuteShapedPlan(const storage::Database& db,
     // wall time and the emulated-parallel model (it is the serial section
     // Amdahl charges against strategies with expensive merges).
     Stopwatch shape_timer;
-    PARJ_ASSIGN_OR_RETURN(join::AggregateOutput out, agg.Finish(exec.pool));
+    // ORDER BY imposes its own total order, so Finish can skip the
+    // canonical group-key sort.
+    PARJ_ASSIGN_OR_RETURN(
+        join::AggregateOutput out,
+        agg.Finish(exec.pool, /*canonical_order=*/plan.order_by.empty()));
 
-    // Canonical internal layout is [group keys..., agg cells...]; lay the
-    // result columns out in SELECT order via spec.output.
-    result.agg_rows.reserve(out.rows * ncols);
-    for (size_t r = 0; r < out.rows; ++r) {
-      const uint64_t* in = out.cells.data() + r * out.width;
-      for (int v : spec.output) {
-        result.agg_rows.push_back(
-            v >= 0 ? in[v] : in[spec.group_cols + ~v]);
-      }
+    // Output row r is canonical-layout row order[r]; ORDER BY reorders,
+    // LIMIT keeps the first `keep`.
+    const size_t keep =
+        plan.limit != 0 ? std::min<size_t>(out.rows, plan.limit) : out.rows;
+    std::vector<uint32_t> order(out.rows);
+    std::iota(order.begin(), order.end(), 0);
+    // Canonical layout is [group keys..., agg cells...]; spec.output maps
+    // each SELECT column to its canonical cell.
+    std::vector<size_t> source(ncols);
+    for (size_t col = 0; col < ncols; ++col) {
+      const int v = spec.output[col];
+      source[col] = v >= 0 ? static_cast<size_t>(v)
+                           : static_cast<size_t>(spec.group_cols + ~v);
     }
-    result.row_count = out.rows;
-
-    if (!plan.order_by.empty() && result.row_count > 1) {
-      // Kind-aware ORDER BY over the (small) aggregate table; the
-      // full-row tiebreak makes the order total, hence deterministic.
-      std::vector<uint32_t> order(result.row_count);
-      std::iota(order.begin(), order.end(), 0);
-      const std::vector<uint64_t>& cells = result.agg_rows;
+    if (!plan.order_by.empty() && out.rows > 1) {
+      // Kind-aware ORDER BY over the (small) aggregate table. The
+      // full-row tiebreak, and last the raw cell bits (NaN payloads,
+      // -0.0), make the order total over distinct rows, so a top-k
+      // selection returns exactly the first rows of a full sort.
+      const uint64_t* cells = out.cells.data();
+      auto cell = [&](uint32_t r, size_t col) {
+        return cells[static_cast<size_t>(r) * out.width + source[col]];
+      };
       auto row_less = [&](uint32_t a, uint32_t b) {
-        const uint64_t* ra = cells.data() + static_cast<size_t>(a) * ncols;
-        const uint64_t* rb = cells.data() + static_cast<size_t>(b) * ncols;
         for (const query::OrderKey& key : plan.order_by) {
-          const int c = join::CompareAggCell(ra[key.column], rb[key.column],
+          const int c = join::CompareAggCell(cell(a, key.column),
+                                             cell(b, key.column),
                                              spec.column_kinds[key.column]);
           if (c != 0) return key.descending ? c > 0 : c < 0;
         }
         for (size_t col = 0; col < ncols; ++col) {
-          const int c = join::CompareAggCell(ra[col], rb[col],
+          const int c = join::CompareAggCell(cell(a, col), cell(b, col),
                                              spec.column_kinds[col]);
           if (c != 0) return c < 0;
         }
+        for (size_t col = 0; col < ncols; ++col) {
+          if (cell(a, col) != cell(b, col)) return cell(a, col) < cell(b, col);
+        }
         return false;
       };
-      std::sort(order.begin(), order.end(), row_less);
-      std::vector<uint64_t> sorted;
-      sorted.reserve(cells.size());
-      for (uint32_t r : order) {
-        sorted.insert(sorted.end(),
-                      cells.begin() + static_cast<size_t>(r) * ncols,
-                      cells.begin() + static_cast<size_t>(r + 1) * ncols);
+      const auto kept = order.begin() + static_cast<std::ptrdiff_t>(keep);
+      if (kept != order.end()) {
+        std::nth_element(order.begin(), kept, order.end(), row_less);
       }
-      result.agg_rows = std::move(sorted);
+      std::sort(order.begin(), kept, row_less);
     }
-    if (plan.limit != 0 && result.row_count > plan.limit) {
-      result.row_count = plan.limit;
-      result.agg_rows.resize(plan.limit * ncols);
+    result.agg_rows.reserve(keep * ncols);
+    for (size_t r = 0; r < keep; ++r) {
+      const uint64_t* in = out.cells.data() + order[r] * out.width;
+      for (size_t col = 0; col < ncols; ++col) {
+        result.agg_rows.push_back(in[source[col]]);
+      }
     }
+    result.row_count = keep;
     const double shape_millis = shape_timer.ElapsedMillis();
     result.execute_millis += shape_millis;
     result.emulated_parallel_millis += shape_millis;

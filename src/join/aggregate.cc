@@ -68,18 +68,22 @@ void AppendTable(const GroupTable& t, int group_cols, int naggs,
   }
 }
 
-/// Sorts groups by key TermId tuple ascending (keys are unique, so this
-/// is a total order independent of which worker produced which group) and
-/// lays out the canonical output rows: keys widened to u64, then cells.
-AggregateOutput Canonicalize(const Gathered& g, int group_cols, int naggs) {
+/// Lays out the output rows: keys widened to u64, then cells. With
+/// `sort_keys`, groups are sorted by key TermId tuple ascending (keys are
+/// unique, so this is a total order independent of which worker produced
+/// which group); otherwise they keep merge order.
+AggregateOutput LayOutRows(const Gathered& g, int group_cols, int naggs,
+                           bool sort_keys) {
   std::vector<uint32_t> order(g.rows);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const TermId* ka = g.keys.data() + static_cast<size_t>(a) * group_cols;
-    const TermId* kb = g.keys.data() + static_cast<size_t>(b) * group_cols;
-    return std::lexicographical_compare(ka, ka + group_cols, kb,
-                                        kb + group_cols);
-  });
+  if (sort_keys) {
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const TermId* ka = g.keys.data() + static_cast<size_t>(a) * group_cols;
+      const TermId* kb = g.keys.data() + static_cast<size_t>(b) * group_cols;
+      return std::lexicographical_compare(ka, ka + group_cols, kb,
+                                          kb + group_cols);
+    });
+  }
   AggregateOutput out;
   out.rows = g.rows;
   out.width = static_cast<size_t>(group_cols) + naggs;
@@ -420,7 +424,8 @@ bool Aggregator::adapted() const {
   return false;
 }
 
-Result<AggregateOutput> Aggregator::Finish(server::ThreadPool* pool) {
+Result<AggregateOutput> Aggregator::Finish(server::ThreadPool* pool,
+                                           bool canonical_order) {
   PARJ_RETURN_NOT_OK(failpoint::Check("agg.merge"));
 
   Gathered gathered;
@@ -475,7 +480,7 @@ Result<AggregateOutput> Aggregator::Finish(server::ThreadPool* pool) {
     gathered.rows = 1;
   }
 
-  return Canonicalize(gathered, group_cols_, naggs_);
+  return LayOutRows(gathered, group_cols_, naggs_, canonical_order);
 }
 
 // ---------------------------------------------------------------------------

@@ -48,9 +48,10 @@ inline constexpr size_t kAggRadixPartitions = 64;
 inline constexpr size_t kAggAdaptiveThreshold = 4096;
 
 /// Canonical aggregation output: one row per group, sorted ascending by
-/// the group-key TermId tuple. Row layout is `group_cols` key cells
-/// (TermIds widened to u64) followed by one cell per aggregate — counts
-/// raw u64, SUM/MIN/MAX doubles bit-cast (NaN = no numeric input).
+/// the group-key TermId tuple (or in merge order, when the caller orders
+/// the rows itself — see Aggregator::Finish). Row layout is `group_cols`
+/// key cells (TermIds widened to u64) followed by one cell per aggregate —
+/// counts raw u64, SUM/MIN/MAX doubles bit-cast (NaN = no numeric input).
 struct AggregateOutput {
   size_t rows = 0;
   size_t width = 0;
@@ -117,8 +118,12 @@ class Aggregator {
 
   /// Merges every worker's state into the canonical output. `pool` runs
   /// the per-partition merges of the radix/adaptive paths (null = shared
-  /// pool). Call exactly once, after all Accumulate calls completed.
-  Result<AggregateOutput> Finish(server::ThreadPool* pool);
+  /// pool). With `canonical_order` false the rows come in merge order
+  /// instead of sorted by group key — for a caller that imposes its own
+  /// total order (ORDER BY). Call exactly once, after all Accumulate
+  /// calls completed.
+  Result<AggregateOutput> Finish(server::ThreadPool* pool,
+                                 bool canonical_order);
 
   /// True when any adaptive worker re-bucketed into radix partitions.
   bool adapted() const;

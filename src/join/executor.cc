@@ -605,21 +605,16 @@ WorkSource ResolveWorkSource(const StepInfo& first) {
   return src;
 }
 
-/// Morsel sizing (DESIGN.md §8): aim for kMorselsPerWorker morsels per
-/// worker so the dispenser can smooth skew and stragglers, but never cut
-/// morsels below kMinMorselCost triples of estimated work — claim overhead
-/// (one fetch_add) must stay invisible next to the pipeline work — and
-/// never more morsels than work items.
+/// Morsel sizing (DESIGN.md §8): kMorselsPerWorker morsels per worker, so
+/// the dispenser can smooth skew and stragglers, and never more morsels
+/// than work items. First-step size does not bound the count: a few
+/// thousand first-step triples can each drive a long downstream pipeline,
+/// and a claim (one fetch_add) is cheap next to even one descent.
 constexpr size_t kMorselsPerWorker = 8;
-constexpr uint64_t kMinMorselCost = 2048;
 
-size_t MorselTarget(size_t workers, size_t items, uint64_t cost) {
-  const uint64_t by_cost =
-      std::max<uint64_t>(workers, cost / kMinMorselCost);
-  const size_t target =
-      std::min<size_t>(workers * kMorselsPerWorker,
-                       static_cast<size_t>(by_cost));
-  return std::clamp<size_t>(target, 1, std::max<size_t>(1, items));
+size_t MorselTarget(size_t workers, size_t items) {
+  return std::clamp<size_t>(workers * kMorselsPerWorker, 1,
+                            std::max<size_t>(1, items));
 }
 
 /// Dirty first step with a variable key: merged scan of the base key
@@ -1053,15 +1048,12 @@ Result<ExecResult> Executor::Execute(const Plan& plan,
     const storage::TableReplica& first = src.keys_from_delta
                                              ? *steps[0].ins
                                              : *steps[0].replica;
+    const size_t target = MorselTarget(num_shards, slice_size);
     if (src.kind == WorkSource::Kind::kKeyRange) {
-      const uint64_t cost = first.RangeCost(worker_begin, worker_end);
-      morsels = MorselScheduler::MorselsFromCuts(first.CostBalancedSplit(
-          worker_begin, worker_end,
-          MorselTarget(num_shards, slice_size, cost)));
+      morsels = MorselScheduler::MorselsFromCuts(
+          first.CostBalancedSplit(worker_begin, worker_end, target));
     } else {
-      morsels = MorselScheduler::EqualSplit(
-          worker_begin, worker_end,
-          MorselTarget(num_shards, slice_size, slice_size));
+      morsels = MorselScheduler::EqualSplit(worker_begin, worker_end, target);
     }
     MorselScheduler scheduler(std::move(morsels), num_shards);
     std::vector<MorselWorkerStats> worker_stats(num_shards);
@@ -1315,10 +1307,9 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
     const storage::TableReplica& first = src.keys_from_delta
                                              ? *resolved[0].steps[0].ins
                                              : *resolved[0].steps[0].replica;
-    const uint64_t cost = first.RangeCost(0, src.size);
     std::vector<Morsel> morsels =
         MorselScheduler::MorselsFromCuts(first.CostBalancedSplit(
-            0, src.size, MorselTarget(num_shards, src.size, cost)));
+            0, src.size, MorselTarget(num_shards, src.size)));
     MorselScheduler scheduler(std::move(morsels), num_shards);
 
     auto worker_loop = [&](size_t w) {

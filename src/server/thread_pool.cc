@@ -17,7 +17,8 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  // Workers that are not parked check stop_ before they park.
+  for (const auto& w : workers_) w->cv.notify_one();
   for (std::thread& t : threads_) t.join();
 }
 
@@ -61,9 +62,9 @@ void ThreadPool::WorkerLoop(size_t index) {
   for (;;) {
     while (!self.has_direct && queue_.empty() && !stop_) {
       idle_.push_back(index);
-      cv_.wait(lock);
-      // A direct handoff removes us from idle_; remove ourselves after
-      // any other wakeup.
+      self.cv.wait(lock);
+      // Whoever woke us popped us from idle_; remove ourselves after a
+      // spurious wakeup.
       auto it = std::find(idle_.begin(), idle_.end(), index);
       if (it != idle_.end()) idle_.erase(it);
     }
@@ -79,21 +80,43 @@ void ThreadPool::WorkerLoop(size_t index) {
     } else {
       return;  // stop_ and nothing left to do
     }
+    // Counted as the task starts, so a task that signals its own
+    // completion never races its count.
+    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     lock.unlock();
     task();
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     task = nullptr;  // release captured state outside the lock
     lock.lock();
   }
 }
 
+ThreadPool::Worker* ThreadPool::PopIdleLocked() {
+  if (idle_.empty()) return nullptr;
+  Worker* w = workers_[idle_.back()].get();
+  idle_.pop_back();
+  return w;
+}
+
+ThreadPool::Worker* ThreadPool::HandOffLocked(std::function<void()>& task) {
+  Worker* w = PopIdleLocked();
+  if (w != nullptr) {
+    w->direct = std::move(task);
+    w->has_direct = true;
+  }
+  return w;
+}
+
 void ThreadPool::Submit(std::function<void()> task) {
+  Worker* woken = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     EnsureStartedLocked();
     queue_.push_back(std::move(task));
+    // One task, one wake-up. The woken worker may find the task already
+    // taken by a worker that just finished; it then parks again.
+    woken = PopIdleLocked();
   }
-  cv_.notify_all();
+  if (woken != nullptr) woken->cv.notify_one();
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
@@ -173,24 +196,23 @@ void ThreadPool::RunWorkers(int n, const std::function<void(int)>& member) {
     }
   };
 
+  std::vector<Worker*> woken;
+  woken.reserve(n - 1);
   {
     std::unique_lock<std::mutex> lock(mu_);
     EnsureStartedLocked();
     for (int m = 1; m < n; ++m) {
-      auto task = [run_member, m] { run_member(m); };
-      if (!idle_.empty()) {
-        // Direct handoff to a provably parked worker: the member starts
-        // without queue latency.
-        const size_t w = idle_.back();
-        idle_.pop_back();
-        workers_[w]->direct = std::move(task);
-        workers_[w]->has_direct = true;
+      std::function<void()> task = [run_member, m] { run_member(m); };
+      // Direct handoff to a provably parked worker: the member starts
+      // without queue latency.
+      if (Worker* w = HandOffLocked(task)) {
+        woken.push_back(w);
       } else {
         queue_.push_back(std::move(task));
       }
     }
   }
-  cv_.notify_all();
+  for (Worker* w : woken) w->cv.notify_one();
   // Caller participation: run member 0, then claim everything the pool
   // has not started yet. This keeps the gang deadlock-free (a saturated
   // or nested pool degrades to the caller running all members) without
@@ -217,30 +239,30 @@ void ThreadPool::RunGang(int n, const std::function<void(int)>& member) {
   state->total = n - 1;  // the caller runs member 0 un-tracked
 
   std::vector<std::function<void()>> overflow_tasks;
+  std::vector<Worker*> woken;
+  woken.reserve(n - 1);
   {
     std::unique_lock<std::mutex> lock(mu_);
     EnsureStartedLocked();
     for (int m = 1; m < n; ++m) {
-      auto task = [state, &member, m] {  // &member safe: caller waits below
+      // &member safe: the caller waits below.
+      std::function<void()> task = [state, &member, m] {
         member(m);
         if (state->done.fetch_add(1) + 1 == state->total) {
           std::lock_guard<std::mutex> lk(state->mu);
           state->cv.notify_all();
         }
       };
-      if (!idle_.empty()) {
-        // Direct handoff: this worker is provably parked, so the member
-        // starts immediately — safe for barrier groups.
-        const size_t w = idle_.back();
-        idle_.pop_back();
-        workers_[w]->direct = std::move(task);
-        workers_[w]->has_direct = true;
+      // Direct handoff: this worker is provably parked, so the member
+      // starts immediately — safe for barrier groups.
+      if (Worker* w = HandOffLocked(task)) {
+        woken.push_back(w);
       } else {
         overflow_tasks.push_back(std::move(task));
       }
     }
   }
-  cv_.notify_all();
+  for (Worker* w : woken) w->cv.notify_one();
   std::vector<std::thread> overflow;
   overflow.reserve(overflow_tasks.size());
   for (auto& task : overflow_tasks) {

@@ -1,6 +1,7 @@
 #ifndef PARJ_SERVER_THREAD_POOL_H_
 #define PARJ_SERVER_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -25,8 +26,13 @@ namespace parj::server {
 /// single-query binaries keep their exact thread behaviour until they
 /// submit work).
 ///
+/// Every worker parks on its own condition variable; a submission wakes
+/// only the workers it hands work to, never the whole pool.
+///
 /// Four submission shapes:
 ///  - Submit(): fire-and-forget queue task (used by the query scheduler).
+///    Wakes one parked worker, if any; a busy worker picks the task up
+///    when it finishes its current one otherwise.
 ///  - ParallelFor(): fork-join over n independent indices. The CALLER
 ///    participates in the loop, claiming indices from a shared atomic
 ///    counter alongside the pool workers, so the call always completes
@@ -47,7 +53,7 @@ namespace parj::server {
 class ThreadPool {
  public:
   struct Stats {
-    uint64_t tasks_executed = 0;     ///< queue + direct-handoff tasks run
+    uint64_t tasks_executed = 0;     ///< queue + direct-handoff tasks started
     uint64_t gangs_run = 0;          ///< RunGang() calls
     uint64_t overflow_threads = 0;   ///< gang members that needed a temp thread
     uint64_t worker_gangs_run = 0;   ///< RunWorkers() calls
@@ -87,20 +93,31 @@ class ThreadPool {
   static ThreadPool& Shared();
 
  private:
-  /// Per-worker direct-handoff slot (guarded by mu_).
+  /// Per-worker park slot: a worker waits on its own `cv`, so every
+  /// wake-up is targeted — whoever pops a worker from idle_ notifies
+  /// exactly that worker (guarded by mu_, except `cv`).
   struct Worker {
+    std::condition_variable cv;
     std::function<void()> direct;
     bool has_direct = false;
   };
 
   void EnsureStartedLocked();
   void WorkerLoop(size_t index);
+  /// Pops the most recently parked worker (nullptr when none is parked).
+  /// The caller must give it work (a direct task or a queued one) and
+  /// notify its cv after releasing mu_. Popping is what makes the wake
+  /// targeted: back-to-back wakers never pick the same worker.
+  Worker* PopIdleLocked();
+  /// Direct handoff: moves `task` into a popped parked worker's slot and
+  /// returns that worker, or returns nullptr (leaving `task` alone) when
+  /// none is parked.
+  Worker* HandOffLocked(std::function<void()>& task);
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<size_t> idle_;  ///< indices of workers parked in cv_.wait
+  std::vector<size_t> idle_;  ///< indices of workers parked on their cv
   std::vector<std::thread> threads_;
   int num_threads_;
   bool started_ = false;

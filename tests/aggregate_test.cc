@@ -447,6 +447,87 @@ TEST(AggregateOrderLimitTest, TopKMatchesSortTrimReference) {
   }
 }
 
+TEST(AggregateOrderLimitTest, AggregateTopKMatchesFullSortTrim) {
+  // 400 members spread over (x, y) groups: small counts, so many groups
+  // tie on (?n, ?y) and only the full-row tiebreak (?x) orders them.
+  Rng rng(0xa66);
+  std::vector<rdf::Triple> triples;
+  for (int m = 0; m < 400; ++m) {
+    const rdf::Term member = rdf::Term::Iri("m" + std::to_string(m));
+    triples.push_back({member, rdf::Term::Iri("x"),
+                       rdf::Term::Iri("x" + std::to_string(rng.Uniform(12)))});
+    triples.push_back({member, rdf::Term::Iri("y"),
+                       rdf::Term::Iri("y" + std::to_string(rng.Uniform(6)))});
+  }
+  auto built = ParjEngine::FromTriples(triples);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ParjEngine engine = std::move(built).value();
+
+  const std::string base =
+      "SELECT ?x ?y (COUNT(?m) AS ?n) WHERE { ?m <x> ?x . ?m <y> ?y } "
+      "GROUP BY ?x ?y ORDER BY DESC(?n) ?y";
+  const QueryResult all = Reference(engine, base);
+  const size_t groups = all.row_count;
+  ASSERT_GT(groups, 40u);
+  ASSERT_EQ(all.column_count, 3u);
+  // The full sort itself: ?n descending, then ?y, then ?x (TermIds).
+  auto cell = [&](size_t row, size_t col) {
+    return all.agg_rows[row * 3 + col];
+  };
+  size_t first_tie = 0;  // first cut k whose rows k-1 and k tie on (?n, ?y)
+  for (size_t r = 1; r < groups; ++r) {
+    const bool tie =
+        cell(r - 1, 2) == cell(r, 2) && cell(r - 1, 1) == cell(r, 1);
+    EXPECT_TRUE(cell(r - 1, 2) > cell(r, 2) ||
+                (cell(r - 1, 2) == cell(r, 2) && cell(r - 1, 1) < cell(r, 1)) ||
+                (tie && cell(r - 1, 0) < cell(r, 0)))
+        << "row " << r;
+    if (tie && first_tie == 0) first_tie = r;
+  }
+  ASSERT_GT(first_tie, 0u) << "no (?n, ?y) tie: the tiebreak is untested";
+
+  for (const size_t k :
+       {size_t{1}, first_tie, groups - 1, groups, groups + 10}) {
+    const std::string limited = base + " LIMIT " + std::to_string(k);
+    const size_t kept = std::min(k, groups);
+    const std::vector<uint64_t> expected(
+        all.agg_rows.begin(),
+        all.agg_rows.begin() + static_cast<ptrdiff_t>(kept * 3));
+    for (const StrategyRun& run : AllStrategyRuns()) {
+      QueryOptions opts;
+      opts.num_threads = run.threads;
+      opts.agg_strategy = run.strategy;
+      opts.scheduling = run.scheduling;
+      const QueryResult got = MustExecute(engine, limited, opts);
+      const std::string label =
+          std::string(join::AggStrategyName(run.strategy)) + "/" +
+          std::to_string(run.threads) + "t/" +
+          join::SchedulingName(run.scheduling) + " k=" + std::to_string(k);
+      EXPECT_EQ(got.row_count, kept) << label;
+      EXPECT_EQ(got.agg_rows, expected) << label;
+    }
+  }
+}
+
+TEST(AggregateOrderLimitTest, SignedZeroTieOrderIsStrategyIndependent) {
+  // MIN cells -0.0 and 0.0 compare equal but print differently; the raw
+  // cell bits must break that tie, or the order would follow each
+  // strategy's merge order.
+  std::vector<rdf::Triple> triples;
+  for (int g = 0; g < 40; ++g) {
+    triples.push_back({rdf::Term::Iri("g" + std::to_string(g)),
+                       rdf::Term::Iri("v"),
+                       rdf::Term::Literal(g % 2 == 0 ? "-0" : "0")});
+  }
+  auto built = ParjEngine::FromTriples(triples);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ParjEngine engine = std::move(built).value();
+  const std::string base =
+      "SELECT (MIN(?v) AS ?m) WHERE { ?g <v> ?v } GROUP BY ?g ORDER BY ?m";
+  ExpectAllStrategiesMatchReference(engine, base);
+  ExpectAllStrategiesMatchReference(engine, base + " LIMIT 25");
+}
+
 TEST(AggregateOrderLimitTest, OrderByWithoutLimitSortsEverything) {
   ParjEngine engine = MakeNumericEngine();
   QueryResult r = MustExecute(

@@ -233,6 +233,91 @@ TEST(MorselExecutionTest, WorkerStatsAccountForAllRows) {
   EXPECT_GE(morsels, 8u);  // at least one morsel per worker's share
 }
 
+/// kKeys first-step subjects with one <p> edge each, every object fanning
+/// out to kFanOut <q> partners; <hub> carries an 8-value <r> run into the
+/// same fan-out. The first step is tiny next to the work it drives.
+Spec FanOutSpec() {
+  constexpr int kKeys = 100;
+  constexpr int kFanOut = 40;
+  Spec spec;
+  for (int i = 0; i < kKeys; ++i) {
+    spec.push_back({"a" + std::to_string(i), "p", "b" + std::to_string(i)});
+    for (int j = 0; j < kFanOut; ++j) {
+      spec.push_back({"b" + std::to_string(i), "q",
+                      "c" + std::to_string((i + j) % 97)});
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    spec.push_back({"hub", "r", "b" + std::to_string(i)});
+  }
+  return spec;
+}
+
+ExecResult RunForced(const storage::Database& db, const std::string& sparql,
+                     ExecOptions opts) {
+  auto q = Encode(sparql, db);
+  query::OptimizerOptions oopts;
+  oopts.forced_order = {0, 1};
+  auto plan = query::Optimize(q, db, oopts);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  Executor exec(&db);
+  auto result = exec.Execute(*plan, opts);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return std::move(result).value();
+}
+
+uint64_t MorselCount(const ExecResult& r) {
+  uint64_t morsels = 0;
+  for (const MorselWorkerStats& w : r.morsel_workers) morsels += w.morsels;
+  return morsels;
+}
+
+TEST(MorselExecutionTest, MorselCountFollowsWorkersNotFirstStepSize) {
+  auto db = MakeDatabase(FanOutSpec());
+  // 100 first-step triples drive 4000 downstream rows: the cut follows
+  // the worker count, capped by the item count.
+  const std::string key_range =
+      "SELECT ?a ?b ?c WHERE { ?a <p> ?b . ?b <q> ?c }";
+  const std::string value_run =
+      "SELECT ?b ?c WHERE { <hub> <r> ?b . ?b <q> ?c }";
+  for (int threads : {2, 4, 8}) {
+    ExecOptions opts;
+    opts.num_threads = threads;
+    opts.scheduling = Scheduling::kMorsel;
+    const ExecResult keys = RunForced(db, key_range, opts);
+    EXPECT_EQ(MorselCount(keys), std::min<uint64_t>(100, threads * 8u))
+        << threads << "t";
+    // An 8-item constant-key run is cut into one morsel per item.
+    const ExecResult run = RunForced(db, value_run, opts);
+    EXPECT_EQ(MorselCount(run), 8u) << threads << "t";
+  }
+}
+
+TEST(MorselExecutionTest, FanOutJoinMatchesStaticScheduling) {
+  auto db = MakeDatabase(FanOutSpec());
+  for (const std::string& sparql :
+       {std::string("SELECT ?a ?b ?c WHERE { ?a <p> ?b . ?b <q> ?c }"),
+        std::string("SELECT ?b ?c WHERE { <hub> <r> ?b . ?b <q> ?c }")}) {
+    ExecOptions ref_opts;
+    ref_opts.scheduling = Scheduling::kStatic;
+    const ExecResult ref = RunForced(db, sparql, ref_opts);
+    ASSERT_GT(ref.row_count, 0u);
+    const auto ref_rows = ToSortedRows(ref.rows, ref.column_count);
+    for (int threads : {2, 4, 8}) {
+      for (Scheduling scheduling : {Scheduling::kStatic, Scheduling::kMorsel}) {
+        ExecOptions opts;
+        opts.num_threads = threads;
+        opts.scheduling = scheduling;
+        const ExecResult r = RunForced(db, sparql, opts);
+        const std::string label = sparql + " " + SchedulingName(scheduling) +
+                                  "/" + std::to_string(threads) + "t";
+        EXPECT_EQ(r.step_rows, ref.step_rows) << label;
+        EXPECT_EQ(ToSortedRows(r.rows, r.column_count), ref_rows) << label;
+      }
+    }
+  }
+}
+
 TEST(MorselExecutionTest, EmulatedParallelUsesVirtualClockDispatch) {
   auto db = MakeDatabase(SkewSpec());
   ExecOptions opts;

@@ -2,7 +2,14 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -10,6 +17,42 @@
 
 namespace parj::server {
 namespace {
+
+/// Count-down latch whose wait gives up after a generous deadline, so a
+/// lost or misdirected wake-up fails the test instead of hanging it.
+class TimedLatch {
+ public:
+  explicit TimedLatch(int count) : count_(count) {}
+
+  void CountDown() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--count_ <= 0) cv_.notify_all();
+  }
+
+  /// True when the count reached zero before the deadline.
+  bool Wait(std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return count_ <= 0; });
+  }
+
+  bool ArriveAndWait() {
+    CountDown();
+    return Wait();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int count_;
+};
+
+/// Starts the pool and gives every worker time to park: afterwards a
+/// submission can only reach a worker through a wake-up.
+void StartAndLetPark(ThreadPool& pool) {
+  pool.ParallelFor(static_cast<size_t>(pool.thread_count()) + 1,
+                   [](size_t) {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
 
 TEST(ThreadPoolTest, LazyStart) {
   ThreadPool pool(2);
@@ -144,6 +187,87 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
     for (int i = 0; i < 32; ++i) pool.Submit([&] { ran.fetch_add(1); });
   }
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ThreadPoolTest, BackToBackSubmitsWakeDistinctWorkers) {
+  // K tasks that each wait for all K: they pass only if every submit woke
+  // a different parked worker. A wake that lands on an already-woken
+  // worker leaves one task queued behind a blocked one.
+  constexpr int kThreads = 4;
+  ThreadPool pool(kThreads);
+  StartAndLetPark(pool);
+  TimedLatch all_running(kThreads);
+  std::atomic<int> passed{0};
+  std::promise<void> done;
+  std::atomic<int> finished{0};
+  for (int i = 0; i < kThreads; ++i) {
+    pool.Submit([&] {
+      if (all_running.ArriveAndWait()) passed.fetch_add(1);
+      if (finished.fetch_add(1) + 1 == kThreads) done.set_value();
+    });
+  }
+  done.get_future().wait();
+  EXPECT_EQ(passed.load(), kThreads);
+}
+
+TEST(ThreadPoolTest, RunWorkersMembersStartWhileMemberZeroRuns) {
+  // Member 0 (the caller) waits for every other member to start: the
+  // handoffs must wake their workers, not leave the members to the caller.
+  constexpr int kMembers = 4;
+  ThreadPool pool(kMembers);
+  StartAndLetPark(pool);
+  TimedLatch others_started(kMembers - 1);
+  bool all_started = false;
+  std::atomic<int> ran{0};
+  pool.RunWorkers(kMembers, [&](int m) {
+    ran.fetch_add(1);
+    if (m == 0) {
+      all_started = others_started.Wait();
+    } else {
+      others_started.CountDown();
+    }
+  });
+  EXPECT_TRUE(all_started);
+  EXPECT_EQ(ran.load(), kMembers);
+}
+
+TEST(ThreadPoolTest, ParallelForHelpersLandOnDistinctWorkers) {
+  // n indices that each wait for all n can only finish if the caller and
+  // the n - 1 helpers run on n distinct threads at once.
+  constexpr size_t kThreads = 3;
+  ThreadPool pool(static_cast<int>(kThreads));
+  StartAndLetPark(pool);
+  TimedLatch all_running(kThreads + 1);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::atomic<int> passed{0};
+  pool.ParallelFor(kThreads + 1, [&](size_t) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    }
+    if (all_running.ArriveAndWait()) passed.fetch_add(1);
+  });
+  EXPECT_EQ(passed.load(), static_cast<int>(kThreads + 1));
+  EXPECT_EQ(threads.size(), kThreads + 1);
+}
+
+TEST(ThreadPoolTest, DestructorWakesEveryParkedWorker) {
+  auto pool = std::make_unique<ThreadPool>(4);
+  StartAndLetPark(*pool);
+  std::promise<void> destroyed;
+  std::future<void> destroyed_future = destroyed.get_future();
+  std::thread destroyer([&pool, &destroyed] {
+    pool.reset();  // joins every worker
+    destroyed.set_value();
+  });
+  if (destroyed_future.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    // A hung destructor can be neither joined nor safely abandoned.
+    std::fprintf(stderr, "a parked worker was never woken to exit\n");
+    std::abort();
+  }
+  destroyer.join();
 }
 
 }  // namespace
