@@ -27,7 +27,8 @@
 //
 // Environment overrides: PARJ_LUBM_UNIV (default 10), PARJ_THREADS
 // (default 8), PARJ_BENCH_REPEATS (default 3), PARJ_AGG_MIN_SPEEDUP,
-// PARJ_AGG_ADAPTIVE_FACTOR, PARJ_BENCH_JSON_DIR (default ".").
+// PARJ_AGG_ADAPTIVE_FACTOR, PARJ_BENCH_JSON_DIR (default: the build
+// directory).
 
 #include <algorithm>
 #include <cstdio>

@@ -137,16 +137,19 @@ inline Aggregate Aggregates(const std::vector<double>& values) {
 }
 
 /// Writes a machine-readable bench artifact (`BENCH_<name>.json`) into
-/// PARJ_BENCH_JSON_DIR (default: the working directory). CI uploads these
-/// so the perf trajectory of every bench is diffable across commits; the
-/// payload is assembled by the caller with std::snprintf — the schemas are
-/// flat enough that a JSON library would be dead weight.
+/// PARJ_BENCH_JSON_DIR, by default the CMake build directory the bench
+/// was built in (PARJ_BENCH_BUILD_DIR), so a run from anywhere — the
+/// repository root included — never overwrites a committed artifact. CI
+/// uploads these so the perf trajectory of every bench is diffable across
+/// commits; the payload is assembled by the caller with std::snprintf —
+/// the schemas are flat enough that a JSON library would be dead weight.
 inline void WriteBenchJson(const std::string& file_name,
                            const std::string& payload) {
   const char* dir = std::getenv("PARJ_BENCH_JSON_DIR");
   const std::string path =
-      std::string(dir != nullptr && *dir != '\0' ? dir : ".") + "/" +
-      file_name;
+      std::string(dir != nullptr && *dir != '\0' ? dir
+                                                 : PARJ_BENCH_BUILD_DIR) +
+      "/" + file_name;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());

@@ -19,7 +19,7 @@
 //
 // Environment overrides: PARJ_SKEW_KEYS (default 100000),
 // PARJ_SKEW_TRIPLES (default 1000000), PARJ_BENCH_REPEATS (default 3),
-// PARJ_BENCH_JSON_DIR (default ".").
+// PARJ_BENCH_JSON_DIR (default: the build directory).
 
 #include <algorithm>
 #include <cmath>

@@ -48,6 +48,20 @@ void DeduplicateRows(std::vector<TermId>* rows, size_t width,
   *row_count = order.size();
 }
 
+/// The executor options every query path takes from QueryOptions alike.
+/// Probe tracing is left off: only paths that return the trace turn it
+/// on.
+join::ExecOptions BaseExecOptions(const QueryOptions& options) {
+  join::ExecOptions exec;
+  exec.num_threads = options.num_threads;
+  exec.strategy = options.strategy;
+  exec.scheduling = options.scheduling;
+  exec.batch_probes = options.batch_probes;
+  exec.emulate_parallel = options.emulate_parallel;
+  exec.cancel = options.cancel;
+  return exec;
+}
+
 /// Evaluates a UNION query: every arm is encoded, planned and executed
 /// independently (projection is by name, so arms with different variable
 /// numberings still align column-wise); rows are bag-unioned, then
@@ -93,14 +107,8 @@ Result<engine::QueryResult> ExecuteUnionAst(
     result.optimize_millis += optimize_timer.ElapsedMillis();
     if (plan.known_empty) continue;
 
-    join::ExecOptions exec;
-    exec.num_threads = options.num_threads;
-    exec.strategy = options.strategy;
-    exec.scheduling = options.scheduling;
-    exec.batch_probes = options.batch_probes;
-    exec.emulate_parallel = options.emulate_parallel;
+    join::ExecOptions exec = BaseExecOptions(options);
     exec.mode = join::ResultMode::kMaterialize;
-    exec.cancel = options.cancel;
     PARJ_ASSIGN_OR_RETURN(join::ExecResult arm_result,
                           executor.Execute(plan, exec));
     result.row_count += arm_result.row_count;
@@ -366,9 +374,9 @@ Result<query::Plan> ParjEngine::Explain(
 
 namespace {
 
-/// Builds the executor options for one materializing/counting query run
-/// (DISTINCT needs materialized rows to deduplicate, whatever the caller
-/// asked for; LIMIT without DISTINCT can stop shards early). `gate`, when
+/// Builds the executor options for one row-producing query run (DISTINCT
+/// needs materialized rows to deduplicate, whatever the caller asked for;
+/// LIMIT without DISTINCT can stop shards early). `gate`, when
 /// non-null and the plan is a plain LIMIT (no DISTINCT / ORDER BY /
 /// aggregation), is armed with the limit and wired in so the k-th row
 /// produced anywhere stops every shard (cross-shard early exit); the
@@ -376,14 +384,8 @@ namespace {
 join::ExecOptions MakeExecOptions(const query::Plan& plan,
                                   const QueryOptions& options,
                                   join::LimitGate* gate) {
-  join::ExecOptions exec;
-  exec.num_threads = options.num_threads;
-  exec.strategy = options.strategy;
-  exec.scheduling = options.scheduling;
-  exec.batch_probes = options.batch_probes;
-  exec.emulate_parallel = options.emulate_parallel;
+  join::ExecOptions exec = BaseExecOptions(options);
   exec.collect_probe_trace = options.collect_probe_trace;
-  exec.cancel = options.cancel;
   const bool need_rows =
       plan.distinct || options.mode == join::ResultMode::kMaterialize;
   exec.mode = need_rows ? join::ResultMode::kMaterialize
@@ -466,14 +468,8 @@ Result<QueryResult> ExecuteShapedPlan(const storage::Database& db,
   join::Executor executor(&db, &delta);
   const size_t workers = static_cast<size_t>(std::max(1, options.num_threads));
 
-  join::ExecOptions exec;
-  exec.num_threads = options.num_threads;
-  exec.strategy = options.strategy;
-  exec.scheduling = options.scheduling;
-  exec.batch_probes = options.batch_probes;
-  exec.emulate_parallel = options.emulate_parallel;
+  join::ExecOptions exec = BaseExecOptions(options);
   exec.collect_probe_trace = options.collect_probe_trace;
-  exec.cancel = options.cancel;
   exec.mode = join::ResultMode::kVisit;
 
   if (plan.aggregate.enabled) {
@@ -685,27 +681,10 @@ Result<QueryResult> ParjEngine::Execute(std::string_view sparql,
       query::Optimize(encoded, db, options.optimizer, &delta));
   const double optimize_millis = optimize_timer.ElapsedMillis();
 
-  if (plan.aggregate.enabled || !plan.order_by.empty()) {
-    PARJ_ASSIGN_OR_RETURN(
-        QueryResult result,
-        ExecuteShapedPlan(db, delta, std::move(plan), options));
-    result.parse_millis = parse_millis;
-    result.optimize_millis = optimize_millis;
-    result.data_version = snap.data_version();
-    return result;
-  }
-
-  join::Executor executor(&db, &delta);
-  join::LimitGate gate;
-  PARJ_ASSIGN_OR_RETURN(
-      join::ExecResult exec_result,
-      executor.Execute(plan, MakeExecOptions(plan, options, &gate)));
-
-  QueryResult result = FinishResult(std::move(exec_result), std::move(plan),
-                                    options);
+  PARJ_ASSIGN_OR_RETURN(QueryResult result,
+                        ExecutePlan(plan, options, &snap));
   result.parse_millis = parse_millis;
   result.optimize_millis = optimize_millis;
-  result.data_version = snap.data_version();
   return result;
 }
 
@@ -805,20 +784,13 @@ Result<QueryResult> ParjEngine::ExecuteStreaming(
       query::Optimize(encoded, db, options.optimizer, &delta));
   result.optimize_millis = optimize_timer.ElapsedMillis();
 
-  join::ExecOptions exec;
-  exec.num_threads = options.num_threads;
-  exec.strategy = options.strategy;
-  exec.scheduling = options.scheduling;
-  exec.batch_probes = options.batch_probes;
-  exec.emulate_parallel = options.emulate_parallel;
+  // Streaming plans have no DISTINCT, ORDER BY or aggregate, so their
+  // LIMIT is always a plain per-shard limit. The streaming result carries
+  // no probe trace, so none is collected.
+  join::ExecOptions exec = MakeExecOptions(plan, options, nullptr);
   exec.mode = join::ResultMode::kVisit;
   exec.visitor = visitor;
-  exec.cancel = options.cancel;
-  if (plan.limit != 0) exec.per_shard_limit = plan.limit;
-  if (options.max_rows != 0 &&
-      (exec.per_shard_limit == 0 || options.max_rows < exec.per_shard_limit)) {
-    exec.per_shard_limit = options.max_rows;
-  }
+  exec.collect_probe_trace = false;
 
   join::Executor executor(&db, &delta);
   PARJ_ASSIGN_OR_RETURN(join::ExecResult exec_result,

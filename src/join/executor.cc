@@ -965,256 +965,226 @@ Status ValidateExecOptions(const Plan& plan, const ExecOptions& options) {
   if (options.mode == ResultMode::kVisit && !options.visitor) {
     return Status::InvalidArgument("kVisit mode requires a visitor");
   }
-  if (options.total_workers < 1 || options.worker_index < 0 ||
-      options.worker_index >= options.total_workers) {
-    return Status::InvalidArgument("invalid worker slice");
-  }
   if (options.limit_gate != nullptr && options.limit_gate->limit == 0) {
     return Status::InvalidArgument("limit_gate requires limit > 0");
   }
   return Status::OK();
 }
 
+/// The executor's one dispatch core (DESIGN.md §8). A solo Execute is a
+/// one-member pass, a shared scan an N-member one; every member's leading
+/// step resolves to the same replica, so member 0's work source is cut
+/// once for all of them. One MorselScheduler hands the cuts to workers,
+/// and each cut runs through every live member's pipeline with the
+/// claiming worker's private context.
+///
+/// Scheduling comes from options[0]. kStatic (and any one-worker pass) is
+/// one equal cut per worker with stealing off, so worker w runs exactly
+/// shard w; kMorsel is cost-balanced morsels with stealing on. Under
+/// emulate_parallel, and for one worker, units run on the calling thread,
+/// each dispatched to the virtual worker with the lowest clock; the
+/// clocks become shard_millis.
+Result<std::vector<ExecResult>> RunPass(const storage::Database& db,
+                                        const mut::DeltaView* delta,
+                                        std::span<const Plan* const> plans,
+                                        std::span<const ExecOptions> options) {
+  const size_t n = plans.size();
+  std::vector<ExecResult> results(n);
+  std::vector<ResolvedPlan> resolved(n);
+  for (size_t m = 0; m < n; ++m) {
+    results[m].column_count = plans[m]->projection.size();
+    PARJ_RETURN_NOT_OK(
+        ResolvePlan(db, delta, *plans[m], options[m], &resolved[m]));
+  }
+  const ExecOptions& lead = options[0];
+
+  Stopwatch total_timer;
+  const WorkSource src = ResolveWorkSource(resolved[0].steps[0]);
+  if (src.kind == WorkSource::Kind::kEmpty) {
+    const double wall = total_timer.ElapsedMillis();
+    for (ExecResult& result : results) result.wall_millis = wall;
+    return results;
+  }
+
+  // A fully constant first pattern has size 1, so it always runs as one
+  // static cut.
+  const size_t workers = std::max<size_t>(
+      1, std::min<size_t>(static_cast<size_t>(lead.num_threads), src.size));
+  const bool steal = lead.scheduling == Scheduling::kMorsel && workers > 1;
+  std::vector<Morsel> cuts;
+  if (!steal) {
+    cuts = MorselScheduler::EqualSplit(0, src.size, workers);
+  } else if (src.kind == WorkSource::Kind::kKeyRange) {
+    // Cost-balanced morsels: cut where the CSR offsets cross equal shares
+    // of cumulative run length. Delta-only key ranges cut on the insert
+    // replica's CSR; the merged scan's positional ownership rule keeps
+    // any cut correct either way.
+    const TableReplica& first = src.keys_from_delta
+                                    ? *resolved[0].steps[0].ins
+                                    : *resolved[0].steps[0].replica;
+    cuts = MorselScheduler::MorselsFromCuts(
+        first.CostBalancedSplit(0, src.size, MorselTarget(workers, src.size)));
+  } else {
+    // Each item of a constant key's value run costs one descent, so an
+    // equal-count cut is already cost-balanced.
+    cuts = MorselScheduler::EqualSplit(0, src.size,
+                                       MorselTarget(workers, src.size));
+  }
+  MorselScheduler scheduler(std::move(cuts), workers, steal);
+  const char* const unit_failpoint =
+      steal ? "join.worker.morsel" : "join.worker.shard";
+
+  // Fully private per-member, per-worker contexts: within a cut each
+  // member runs the exact solo pipeline.
+  std::vector<std::vector<ShardContext>> contexts(n);
+  for (size_t m = 0; m < n; ++m) {
+    contexts[m].resize(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      InitShardContext(&contexts[m][w], w, resolved[m], *plans[m], options[m],
+                       workers);
+    }
+  }
+
+  FaultCollector faults;
+  std::vector<MorselWorkerStats> worker_stats(workers);
+  // A worker stops claiming once every member it serves has hit its limit
+  // (per-shard limit, LIMIT gate or cancellation).
+  const auto worker_done = [&](size_t w) {
+    for (size_t m = 0; m < n; ++m) {
+      if (!contexts[m][w].limit_reached) return false;
+    }
+    return true;
+  };
+  // Runs one claimed cut on worker w; false when it faulted.
+  const auto run_unit = [&](size_t w, const Morsel& cut, bool stolen) {
+    const Status unit = RunContained([&]() -> Status {
+      Status injected = failpoint::Check(unit_failpoint);
+      if (!injected.ok()) return injected;
+      for (size_t m = 0; m < n; ++m) {
+        ShardContext& ctx = contexts[m][w];
+        if (ctx.limit_reached) continue;
+        RunShard(resolved[m].steps, src, cut.begin, cut.end,
+                 options[m].strategy, &ctx);
+      }
+      return Status::OK();
+    });
+    if (!unit.ok()) {
+      faults.Record(unit);
+      return false;
+    }
+    ++worker_stats[w].morsels;
+    if (stolen) ++worker_stats[w].stolen;
+    worker_stats[w].items += cut.size();
+    return true;
+  };
+
+  const bool emulate = lead.emulate_parallel || workers == 1;
+  std::vector<double> clocks;
+  if (emulate) {
+    // Discrete-event emulation: units run sequentially on the calling
+    // thread, each dispatched to the virtual worker whose accumulated
+    // clock is lowest — the assignment a real run converges to. max(clock)
+    // is the straggler model of parallel wall time.
+    clocks.assign(workers, 0.0);
+    std::vector<bool> drained(workers, false);
+    size_t active = workers;
+    while (active > 0) {
+      size_t w = SIZE_MAX;
+      for (size_t i = 0; i < workers; ++i) {
+        if (!drained[i] && (w == SIZE_MAX || clocks[i] < clocks[w])) w = i;
+      }
+      Morsel cut;
+      bool stolen = false;
+      if (worker_done(w) || !scheduler.Next(w, &cut, &stolen)) {
+        drained[w] = true;
+        --active;
+        continue;
+      }
+      Stopwatch unit_timer;
+      if (!run_unit(w, cut, stolen)) break;
+      clocks[w] += unit_timer.ElapsedMillis();
+    }
+  } else {
+    // A worker gang on the shared pool: members start on idle pool
+    // workers via direct handoff; the caller participates and claims any
+    // member the pool cannot start, so saturation or nesting degrades to
+    // fewer effective workers, never to deadlock.
+    server::ThreadPool& pool =
+        lead.pool != nullptr ? *lead.pool : server::ThreadPool::Shared();
+    pool.RunWorkers(static_cast<int>(workers), [&](int worker) {
+      const size_t w = static_cast<size_t>(worker);
+      Morsel cut;
+      bool stolen = false;
+      while (!worker_done(w) && !faults.Faulted() &&
+             scheduler.Next(w, &cut, &stolen) && run_unit(w, cut, stolen)) {
+      }
+    });
+  }
+
+  // A faulted worker fails the pass with the first recorded Status, and a
+  // cancelled member reports its Status instead of partial results; the
+  // pool itself is untouched and immediately reusable. A shared pass
+  // fails as a whole — the caller degrades to solo execution per member.
+  if (faults.Faulted()) return faults.Take();
+  for (const ExecOptions& opt : options) {
+    if (opt.cancel.StopRequested()) return opt.cancel.ToStatus();
+  }
+
+  // Merge per-worker buffers in worker order (the only post-processing
+  // step; during the join there is no cross-thread traffic).
+  for (size_t m = 0; m < n; ++m) {
+    ExecResult& result = results[m];
+    const size_t step_count = resolved[m].steps.size();
+    result.step_rows.assign(step_count, 0);
+    if (options[m].collect_probe_trace) {
+      result.trace.step_values.resize(step_count);
+    }
+    for (const ShardContext& ctx : contexts[m]) {
+      result.row_count += ctx.row_count;
+      result.rows_skipped_by_limit += ctx.rows_skipped;
+      result.counters.Add(ctx.counters);
+      for (size_t s = 0; s < step_count; ++s) {
+        result.step_rows[s] += ctx.step_rows[s];
+      }
+      result.rows.insert(result.rows.end(), ctx.rows.begin(), ctx.rows.end());
+      for (size_t s = 0; s < ctx.trace.size(); ++s) {
+        std::vector<TermId>& dst = result.trace.step_values[s];
+        dst.insert(dst.end(), ctx.trace[s].begin(), ctx.trace[s].end());
+      }
+    }
+    if (steal) {
+      result.morsel_workers = worker_stats;
+      for (size_t w = 0; w < workers; ++w) {
+        result.morsel_workers[w].rows = contexts[m][w].row_count;
+      }
+    }
+    if (emulate) {
+      result.shard_millis = clocks;
+      result.emulated_parallel_millis =
+          *std::max_element(clocks.begin(), clocks.end());
+    }
+    result.wall_millis = total_timer.ElapsedMillis();
+  }
+  return results;
+}
+
 }  // namespace
 
 Result<ExecResult> Executor::Execute(const Plan& plan,
                                      const ExecOptions& options) const {
-  ExecResult result;
-  result.column_count = plan.projection.size();
-  if (plan.known_empty) return result;
+  if (plan.known_empty) {
+    ExecResult result;
+    result.column_count = plan.projection.size();
+    return result;
+  }
   PARJ_RETURN_NOT_OK(ValidateExecOptions(plan, options));
   // Admission check: an already-cancelled token (e.g. an expired
   // deadline) stops the query before any work happens.
   if (options.cancel.StopRequested()) return options.cancel.ToStatus();
-
-  ResolvedPlan resolved;
-  PARJ_RETURN_NOT_OK(ResolvePlan(*db_, delta_, plan, options, &resolved));
-  std::vector<StepInfo>& steps = resolved.steps;
-
-  Stopwatch total_timer;
-  const WorkSource src = ResolveWorkSource(steps[0]);
-  if (src.kind == WorkSource::Kind::kEmpty) {
-    result.wall_millis = total_timer.ElapsedMillis();
-    return result;
-  }
-
-  // Cluster slice of the global work range (identity when total_workers
-  // is 1). Single-item work goes to worker 0.
-  const size_t worker_begin =
-      src.size * static_cast<size_t>(options.worker_index) /
-      static_cast<size_t>(options.total_workers);
-  const size_t worker_end =
-      src.size * (static_cast<size_t>(options.worker_index) + 1) /
-      static_cast<size_t>(options.total_workers);
-  const size_t slice_size = worker_end - worker_begin;
-  if (slice_size == 0) {
-    result.wall_millis = total_timer.ElapsedMillis();
-    return result;
-  }
-
-  const size_t num_shards = std::max<size_t>(
-      1,
-      std::min<size_t>(static_cast<size_t>(options.num_threads), slice_size));
-
-  std::vector<ShardContext> contexts(num_shards);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    InitShardContext(&contexts[shard], shard, resolved, plan, options,
-                     num_shards);
-  }
-
-  auto shard_range = [&](size_t shard) {
-    const size_t begin = worker_begin + slice_size * shard / num_shards;
-    const size_t end = worker_begin + slice_size * (shard + 1) / num_shards;
-    return std::pair<size_t, size_t>(begin, end);
-  };
-
-  FaultCollector faults;
-
-  // kMorsel only matters with several workers and a divisible work range;
-  // a fully constant first pattern is one existence check either way.
-  const bool use_morsel = options.scheduling == Scheduling::kMorsel &&
-                          num_shards > 1 &&
-                          src.kind != WorkSource::Kind::kSingle;
-
-  if (use_morsel) {
-    // Cost-balanced morsels: for a key range, cut where the CSR offsets
-    // cross equal shares of cumulative run length (prefix sums are already
-    // materialized, so the split is a handful of binary searches); for a
-    // constant key's value run, every item costs one descent, so an
-    // equal-count cut is already cost-balanced.
-    std::vector<Morsel> morsels;
-    // Delta-only key ranges cut on the insert replica's CSR; the merged
-    // scan's positional ownership rule keeps any cut correct either way.
-    const storage::TableReplica& first = src.keys_from_delta
-                                             ? *steps[0].ins
-                                             : *steps[0].replica;
-    const size_t target = MorselTarget(num_shards, slice_size);
-    if (src.kind == WorkSource::Kind::kKeyRange) {
-      morsels = MorselScheduler::MorselsFromCuts(
-          first.CostBalancedSplit(worker_begin, worker_end, target));
-    } else {
-      morsels = MorselScheduler::EqualSplit(worker_begin, worker_end, target);
-    }
-    MorselScheduler scheduler(std::move(morsels), num_shards);
-    std::vector<MorselWorkerStats> worker_stats(num_shards);
-
-    auto worker_loop = [&](size_t w) {
-      ShardContext& ctx = contexts[w];
-      MorselWorkerStats& stats = worker_stats[w];
-      Morsel morsel;
-      bool stolen = false;
-      while (!ctx.limit_reached && !faults.Faulted() &&
-             scheduler.Next(w, &morsel, &stolen)) {
-        const Status unit = RunContained([&]() -> Status {
-          Status injected = failpoint::Check("join.worker.morsel");
-          if (!injected.ok()) return injected;
-          RunShard(steps, src, morsel.begin, morsel.end, options.strategy,
-                   &ctx);
-          return Status::OK();
-        });
-        if (!unit.ok()) {
-          faults.Record(unit);
-          break;
-        }
-        ++stats.morsels;
-        if (stolen) ++stats.stolen;
-        stats.items += morsel.size();
-      }
-    };
-
-    if (options.emulate_parallel) {
-      // Discrete-event emulation of the dynamic schedule: morsels run
-      // sequentially on the calling thread, but each is dispatched to
-      // the virtual worker whose accumulated clock is lowest — the
-      // assignment a real dispenser run converges to. max(clock) is then
-      // the same straggler model the static emulation uses.
-      std::vector<double> clocks(num_shards, 0.0);
-      std::vector<bool> drained(num_shards, false);
-      size_t active = num_shards;
-      while (active > 0) {
-        size_t w = SIZE_MAX;
-        for (size_t i = 0; i < num_shards; ++i) {
-          if (!drained[i] && (w == SIZE_MAX || clocks[i] < clocks[w])) w = i;
-        }
-        ShardContext& ctx = contexts[w];
-        Morsel morsel;
-        bool stolen = false;
-        if (ctx.limit_reached || !scheduler.Next(w, &morsel, &stolen)) {
-          drained[w] = true;
-          --active;
-          continue;
-        }
-        Stopwatch morsel_timer;
-        const Status unit = RunContained([&]() -> Status {
-          Status injected = failpoint::Check("join.worker.morsel");
-          if (!injected.ok()) return injected;
-          RunShard(steps, src, morsel.begin, morsel.end, options.strategy,
-                   &ctx);
-          return Status::OK();
-        });
-        if (!unit.ok()) {
-          faults.Record(unit);
-          break;
-        }
-        clocks[w] += morsel_timer.ElapsedMillis();
-        ++worker_stats[w].morsels;
-        if (stolen) ++worker_stats[w].stolen;
-        worker_stats[w].items += morsel.size();
-      }
-      result.shard_millis = std::move(clocks);
-      result.emulated_parallel_millis = *std::max_element(
-          result.shard_millis.begin(), result.shard_millis.end());
-    } else {
-      // A worker gang on the shared pool: members start on idle pool
-      // workers via direct handoff; the caller participates and claims
-      // any member the pool cannot start, so saturation or nesting
-      // degrades to fewer effective workers, never to deadlock.
-      server::ThreadPool& pool = options.pool != nullptr
-                                     ? *options.pool
-                                     : server::ThreadPool::Shared();
-      pool.RunWorkers(static_cast<int>(num_shards),
-                      [&](int w) { worker_loop(static_cast<size_t>(w)); });
-    }
-    for (size_t w = 0; w < num_shards; ++w) {
-      worker_stats[w].rows = contexts[w].row_count;
-    }
-    result.morsel_workers = std::move(worker_stats);
-  } else if (options.emulate_parallel || num_shards == 1) {
-    result.shard_millis.reserve(num_shards);
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      auto [begin, end] = shard_range(shard);
-      Stopwatch shard_timer;
-      const Status unit = RunContained([&]() -> Status {
-        Status injected = failpoint::Check("join.worker.shard");
-        if (!injected.ok()) return injected;
-        RunShard(steps, src, begin, end, options.strategy, &contexts[shard]);
-        return Status::OK();
-      });
-      if (!unit.ok()) {
-        faults.Record(unit);
-        break;
-      }
-      result.shard_millis.push_back(shard_timer.ElapsedMillis());
-    }
-    if (!result.shard_millis.empty()) {
-      result.emulated_parallel_millis =
-          *std::max_element(result.shard_millis.begin(),
-                            result.shard_millis.end());
-    }
-  } else {
-    // Shards are tasks on the shared pool (the serving layer's one
-    // threading idiom) — no per-query thread spawn/join. The calling
-    // thread participates, so pool-run queries can fan out safely.
-    server::ThreadPool& pool =
-        options.pool != nullptr ? *options.pool : server::ThreadPool::Shared();
-    pool.ParallelFor(num_shards, [&](size_t shard) {
-      if (faults.Faulted()) return;
-      const Status unit = RunContained([&]() -> Status {
-        Status injected = failpoint::Check("join.worker.shard");
-        if (!injected.ok()) return injected;
-        auto [begin, end] = shard_range(shard);
-        RunShard(steps, src, begin, end, options.strategy, &contexts[shard]);
-        return Status::OK();
-      });
-      if (!unit.ok()) faults.Record(unit);
-    });
-  }
-
-  // A faulted worker fails its query with the first recorded Status; the
-  // pool itself is untouched and immediately reusable.
-  if (faults.Faulted()) return faults.Take();
-
-  // A cancelled query reports its Status instead of partial results.
-  if (options.cancel.StopRequested()) return options.cancel.ToStatus();
-
-  // Merge per-shard buffers (the only post-processing step; during the
-  // join there is no cross-thread traffic).
-  result.step_rows.assign(steps.size(), 0);
-  for (ShardContext& ctx : contexts) {
-    result.row_count += ctx.row_count;
-    result.rows_skipped_by_limit += ctx.rows_skipped;
-    result.counters.Add(ctx.counters);
-    for (size_t s = 0; s < steps.size(); ++s) {
-      result.step_rows[s] += ctx.step_rows[s];
-    }
-    if (options.mode == ResultMode::kMaterialize) {
-      result.rows.insert(result.rows.end(), ctx.rows.begin(), ctx.rows.end());
-    }
-  }
-  if (options.collect_probe_trace) {
-    result.trace.step_values.resize(steps.size());
-    for (ShardContext& ctx : contexts) {
-      for (size_t s = 0; s < ctx.trace.size(); ++s) {
-        auto& dst = result.trace.step_values[s];
-        dst.insert(dst.end(), ctx.trace[s].begin(), ctx.trace[s].end());
-      }
-    }
-  }
-  result.wall_millis = total_timer.ElapsedMillis();
-  if (num_shards == 1 && result.shard_millis.size() == 1) {
-    result.emulated_parallel_millis = result.shard_millis[0];
-  }
-  return result;
+  const Plan* const plans[] = {&plan};
+  PARJ_ASSIGN_OR_RETURN(std::vector<ExecResult> results,
+                        RunPass(*db_, delta_, plans, {&options, 1}));
+  return std::move(results[0]);
 }
 
 Result<std::vector<ExecResult>> Executor::ExecuteShared(
@@ -1224,8 +1194,7 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
     return Status::InvalidArgument(
         "ExecuteShared needs matching, non-empty plan/options spans");
   }
-  const size_t n = plans.size();
-  for (size_t m = 0; m < n; ++m) {
+  for (size_t m = 0; m < plans.size(); ++m) {
     const Plan& plan = *plans[m];
     const ExecOptions& opt = options[m];
     if (plan.known_empty) {
@@ -1233,11 +1202,10 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
     }
     PARJ_RETURN_NOT_OK(ValidateExecOptions(plan, opt));
     if (opt.mode == ResultMode::kVisit || opt.emulate_parallel ||
-        opt.collect_probe_trace || opt.total_workers != 1 ||
-        opt.limit_gate != nullptr) {
+        opt.collect_probe_trace || opt.limit_gate != nullptr) {
       return Status::InvalidArgument(
-          "shared-scan members cannot use kVisit, emulation, probe tracing, "
-          "cluster slicing or a LIMIT gate");
+          "shared-scan members cannot use kVisit, emulation, probe tracing "
+          "or a LIMIT gate");
     }
     const PlanStep& first = plan.steps[0];
     if (!first.key.is_variable() || first.key_bound ||
@@ -1253,134 +1221,7 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
     // Admission check, exactly like Execute's.
     if (opt.cancel.StopRequested()) return opt.cancel.ToStatus();
   }
-  const ExecOptions& lead = options[0];
-
-  std::vector<ExecResult> results(n);
-  for (size_t m = 0; m < n; ++m) {
-    results[m].column_count = plans[m]->projection.size();
-  }
-
-  // Resolve every member against the same database/delta. Identical
-  // leading (predicate, replica) across members means identical step-0
-  // pointers, so member 0's WorkSource and cuts serve the whole group.
-  std::vector<ResolvedPlan> resolved(n);
-  for (size_t m = 0; m < n; ++m) {
-    PARJ_RETURN_NOT_OK(
-        ResolvePlan(*db_, delta_, *plans[m], options[m], &resolved[m]));
-  }
-
-  Stopwatch total_timer;
-  const WorkSource src = ResolveWorkSource(resolved[0].steps[0]);
-  if (src.kind == WorkSource::Kind::kEmpty) {
-    const double wall = total_timer.ElapsedMillis();
-    for (ExecResult& result : results) result.wall_millis = wall;
-    return results;
-  }
-  // An unbound variable first key always shards the key array.
-  PARJ_CHECK(src.kind == WorkSource::Kind::kKeyRange)
-      << "shared scan over a non-key-range work source";
-
-  const size_t num_shards = std::max<size_t>(
-      1, std::min<size_t>(static_cast<size_t>(lead.num_threads), src.size));
-
-  // Fully private per-member, per-shard contexts: within a cut each
-  // member runs the exact solo pipeline — no cross-member state at all,
-  // the sharing is purely that one cut schedule drives all members.
-  std::vector<std::vector<ShardContext>> contexts(n);
-  for (size_t m = 0; m < n; ++m) {
-    contexts[m].resize(num_shards);
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      InitShardContext(&contexts[m][shard], shard, resolved[m], *plans[m],
-                       options[m], num_shards);
-    }
-  }
-
-  FaultCollector faults;
-  server::ThreadPool& pool =
-      lead.pool != nullptr ? *lead.pool : server::ThreadPool::Shared();
-  const bool use_morsel =
-      lead.scheduling == Scheduling::kMorsel && num_shards > 1;
-
-  if (use_morsel) {
-    // Same cost-balanced cuts a solo run of any member would make: the
-    // shared leading replica's CSR is the cost model for all of them.
-    const storage::TableReplica& first = src.keys_from_delta
-                                             ? *resolved[0].steps[0].ins
-                                             : *resolved[0].steps[0].replica;
-    std::vector<Morsel> morsels =
-        MorselScheduler::MorselsFromCuts(first.CostBalancedSplit(
-            0, src.size, MorselTarget(num_shards, src.size)));
-    MorselScheduler scheduler(std::move(morsels), num_shards);
-
-    auto worker_loop = [&](size_t w) {
-      Morsel morsel;
-      bool stolen = false;
-      while (!faults.Faulted() && scheduler.Next(w, &morsel, &stolen)) {
-        const Status unit = RunContained([&]() -> Status {
-          Status injected = failpoint::Check("join.worker.morsel");
-          if (!injected.ok()) return injected;
-          for (size_t m = 0; m < n; ++m) {
-            ShardContext& ctx = contexts[m][w];
-            if (ctx.limit_reached) continue;
-            RunShard(resolved[m].steps, src, morsel.begin, morsel.end,
-                     options[m].strategy, &ctx);
-          }
-          return Status::OK();
-        });
-        if (!unit.ok()) {
-          faults.Record(unit);
-          break;
-        }
-      }
-    };
-    pool.RunWorkers(static_cast<int>(num_shards),
-                    [&](int w) { worker_loop(static_cast<size_t>(w)); });
-  } else {
-    pool.ParallelFor(num_shards, [&](size_t shard) {
-      if (faults.Faulted()) return;
-      const Status unit = RunContained([&]() -> Status {
-        Status injected = failpoint::Check("join.worker.shard");
-        if (!injected.ok()) return injected;
-        const size_t begin = src.size * shard / num_shards;
-        const size_t end = src.size * (shard + 1) / num_shards;
-        for (size_t m = 0; m < n; ++m) {
-          RunShard(resolved[m].steps, src, begin, end, options[m].strategy,
-                   &contexts[m][shard]);
-        }
-        return Status::OK();
-      });
-      if (!unit.ok()) faults.Record(unit);
-    });
-  }
-
-  // Any member's fault or cancellation fails the whole group; the caller
-  // degrades to solo execution per member.
-  if (faults.Faulted()) return faults.Take();
-  for (size_t m = 0; m < n; ++m) {
-    if (options[m].cancel.StopRequested()) {
-      return options[m].cancel.ToStatus();
-    }
-  }
-
-  const double wall = total_timer.ElapsedMillis();
-  for (size_t m = 0; m < n; ++m) {
-    ExecResult& result = results[m];
-    const size_t step_count = resolved[m].steps.size();
-    result.step_rows.assign(step_count, 0);
-    for (ShardContext& ctx : contexts[m]) {
-      result.row_count += ctx.row_count;
-      result.counters.Add(ctx.counters);
-      for (size_t s = 0; s < step_count; ++s) {
-        result.step_rows[s] += ctx.step_rows[s];
-      }
-      if (options[m].mode == ResultMode::kMaterialize) {
-        result.rows.insert(result.rows.end(), ctx.rows.begin(),
-                           ctx.rows.end());
-      }
-    }
-    result.wall_millis = wall;
-  }
-  return results;
+  return RunPass(*db_, delta_, plans, options);
 }
 
 }  // namespace parj::join

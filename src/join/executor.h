@@ -62,7 +62,8 @@ struct LimitGate {
 /// How the first step's work range is distributed over threads.
 enum class Scheduling : uint8_t {
   /// The paper's §5 scheme: num_threads equal-count contiguous shards,
-  /// fixed up front. Zero scheduling overhead, but a skewed property
+  /// fixed up front — one cut per worker with stealing off, so worker w
+  /// always runs shard w. Zero scheduling overhead, but a skewed property
   /// table (one giant run next to singleton keys) leaves one straggler
   /// thread doing nearly all the work.
   kStatic = 0,
@@ -120,14 +121,6 @@ struct ExecOptions {
   LimitGate* limit_gate = nullptr;
   /// Required when mode == kVisit.
   RowVisitor visitor;
-  /// Cluster slicing (paper §6's full-replication cluster design): this
-  /// execution processes only worker `worker_index` of `total_workers`
-  /// equal slices of the first step's work range, then shards its slice
-  /// across num_threads as usual. Workers share nothing, so running one
-  /// execution per worker (on any machine holding a replica) and
-  /// concatenating results is equivalent to a single full execution.
-  int total_workers = 1;
-  int worker_index = 0;
   /// Cooperative cancellation/deadline token, checked on entry and then
   /// every kCancelCheckInterval tuples inside each shard's pipeline. A
   /// default-constructed token never fires. On cancellation Execute
@@ -171,12 +164,13 @@ struct ExecResult {
   /// counterpart of PlanStep::estimated_rows).
   std::vector<uint64_t> step_rows;
   SearchCounters counters;
-  /// Per-worker morsel tallies (kMorsel multi-shard runs only): morsels
+  /// Per-worker morsel tallies (kMorsel multi-worker runs only): morsels
   /// executed / stolen, first-step items and rows per worker. The spread
   /// of `items` across workers is the load-balance diagnostic the skew
   /// bench reports.
   std::vector<MorselWorkerStats> morsel_workers;
-  /// Per-shard execution times (emulate_parallel mode only).
+  /// Per-worker execution times (emulate_parallel or one-worker runs
+  /// only).
   std::vector<double> shard_millis;
   /// Wall-clock of the whole execution.
   double wall_millis = 0.0;
@@ -223,8 +217,8 @@ class Executor {
   /// across members for the cuts to be shared.
   ///
   /// Restrictions (InvalidArgument): members must not be known_empty, must
-  /// not use kVisit / emulate_parallel / probe tracing / cluster slicing,
-  /// and all leading steps must resolve to the same table replica. Any
+  /// not use kVisit / emulate_parallel / probe tracing / a LIMIT gate, and
+  /// all leading steps must resolve to the same table replica. Any
   /// member fault or cancellation fails the whole call — callers degrade
   /// to solo execution per member.
   Result<std::vector<ExecResult>> ExecuteShared(

@@ -40,16 +40,23 @@ struct MorselWorkerStats {
 /// exactly once; claiming is wait-free, and there is no communication at
 /// tuple granularity — the paper's zero-communication pipeline is intact
 /// *within* each morsel.
+///
+/// With stealing off, a worker only ever drains its own queue. Given one
+/// morsel per worker, that is the paper's §5 static scheme: worker w runs
+/// exactly morsel w.
 class MorselScheduler {
  public:
-  MorselScheduler(std::vector<Morsel> morsels, size_t num_workers);
+  MorselScheduler(std::vector<Morsel> morsels, size_t num_workers,
+                  bool steal = true);
 
   MorselScheduler(const MorselScheduler&) = delete;
   MorselScheduler& operator=(const MorselScheduler&) = delete;
 
   /// Claims the next morsel for `worker`: its own queue first, then — once
-  /// that drains — a round-robin steal sweep over the other queues.
-  /// Returns false when every queue is empty. `*stolen` reports whether
+  /// that drains, and when stealing is on — a round-robin steal sweep over
+  /// the other queues.
+  /// Returns false when nothing is left that `worker` may claim: every
+  /// queue is empty, or with stealing off its own. `*stolen` reports whether
   /// the morsel came from a foreign queue.
   bool Next(size_t worker, Morsel* out, bool* stolen);
 
@@ -78,6 +85,7 @@ class MorselScheduler {
   std::vector<Morsel> morsels_;
   std::unique_ptr<LocalQueue[]> queues_;
   size_t num_workers_ = 1;
+  bool steal_ = true;
 };
 
 }  // namespace parj::join

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "join/executor.h"
 #include "query/optimizer.h"
 #include "server/cancellation.h"
@@ -71,6 +72,26 @@ TEST(MorselSchedulerTest, LoneActiveWorkerStealsNeighbourQueues) {
   while (scheduler.Next(0, &m, &stolen)) (stolen ? theft : own)++;
   EXPECT_EQ(own, 4);
   EXPECT_EQ(theft, 4);
+}
+
+TEST(MorselSchedulerTest, StealOffKeepsEachWorkerOnItsOwnQueue) {
+  // One morsel per worker, no stealing: the static schedule.
+  MorselScheduler sched(MorselScheduler::EqualSplit(0, 40, 4), 4,
+                        /*steal=*/false);
+  Morsel m;
+  bool stolen = true;
+  ASSERT_TRUE(sched.Next(0, &m, &stolen));
+  EXPECT_EQ(m.begin, 0u);
+  EXPECT_EQ(m.end, 10u);
+  EXPECT_FALSE(stolen);
+  // Worker 0 has drained its queue and must not take its neighbours'.
+  EXPECT_FALSE(sched.Next(0, &m, &stolen));
+  for (size_t w = 1; w < 4; ++w) {
+    ASSERT_TRUE(sched.Next(w, &m, &stolen));
+    EXPECT_EQ(m.begin, 10 * w);
+    EXPECT_FALSE(stolen);
+    EXPECT_FALSE(sched.Next(w, &m, &stolen));
+  }
 }
 
 TEST(MorselSchedulerTest, EqualSplitCoversRangeContiguously) {
@@ -330,6 +351,52 @@ TEST(MorselExecutionTest, EmulatedParallelUsesVirtualClockDispatch) {
   for (double ms : r.shard_millis) sum += ms;
   EXPECT_LE(*std::max_element(r.shard_millis.begin(), r.shard_millis.end()),
             sum + 1e-9);
+}
+
+// kStatic is one equal cut per worker with stealing off: worker w runs
+// exactly shard w. An emulated run therefore reports one time per worker,
+// and since each shard scans a contiguous cut in key order, shards
+// concatenated in worker order give the serial order, whether they ran
+// on real threads, on the emulation loop or on one thread.
+TEST(MorselExecutionTest, StaticSchedulingIsOneFixedCutPerWorker) {
+  auto db = MakeDatabase(SkewSpec());
+  ExecOptions opts;
+  opts.num_threads = 4;
+  opts.scheduling = Scheduling::kStatic;
+  // sleep-0 counts every unit without changing it.
+  ASSERT_TRUE(failpoint::Arm("join.worker.shard", "sleep-0").ok());
+  ASSERT_TRUE(failpoint::Arm("join.worker.morsel", "sleep-0").ok());
+  const ExecResult real = RunSkewJoin(db, opts);
+  EXPECT_EQ(failpoint::HitCount("join.worker.shard"), 4u);
+  EXPECT_EQ(failpoint::HitCount("join.worker.morsel"), 0u);
+  EXPECT_TRUE(real.morsel_workers.empty());
+
+  opts.emulate_parallel = true;
+  const ExecResult emulated = RunSkewJoin(db, opts);
+  EXPECT_EQ(emulated.shard_millis.size(), 4u);
+  EXPECT_EQ(emulated.emulated_parallel_millis,
+            *std::max_element(emulated.shard_millis.begin(),
+                              emulated.shard_millis.end()));
+
+  opts.emulate_parallel = false;
+  opts.num_threads = 1;
+  const ExecResult serial = RunSkewJoin(db, opts);
+  ASSERT_GT(real.row_count, 0u);
+  EXPECT_EQ(real.rows, emulated.rows);
+  EXPECT_EQ(real.rows, serial.rows);
+  EXPECT_EQ(real.step_rows, serial.step_rows);
+  EXPECT_EQ(real.counters.binary_searches, emulated.counters.binary_searches);
+  EXPECT_EQ(real.counters.sequential_steps,
+            emulated.counters.sequential_steps);
+  EXPECT_EQ(failpoint::HitCount("join.worker.shard"), 4u + 4u + 1u);
+
+  // Morsel units fire their own failpoint, once per morsel.
+  opts.num_threads = 4;
+  opts.scheduling = Scheduling::kMorsel;
+  const ExecResult morsel = RunSkewJoin(db, opts);
+  EXPECT_EQ(failpoint::HitCount("join.worker.morsel"), MorselCount(morsel));
+  EXPECT_EQ(failpoint::HitCount("join.worker.shard"), 4u + 4u + 1u);
+  failpoint::DisarmAll();
 }
 
 TEST(MorselExecutionTest, PerShardLimitStopsEarly) {

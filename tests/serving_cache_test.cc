@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "mutable/delta_store.h"
 #include "server/server.h"
 #include "workload/lubm.h"
 
@@ -159,10 +160,10 @@ TEST(ServingCacheTest, PreparedStatementsSkipParsing) {
   EXPECT_FALSE(server.Prepare("SELECT WHERE {").ok());
 }
 
-TEST(ServingCacheTest, EngineExecuteSharedMatchesSoloExecution) {
-  engine::ParjEngine engine = MakeLubmEngine();
-  // Three distinct residual pipelines over the identical leading
-  // ?x ub:advisor ?y scan (forced order pins the leading pattern).
+/// Three distinct residual pipelines over the identical leading
+/// ?x ub:advisor ?y scan: two joins (forced order pins the leading
+/// pattern) and the bare scan.
+std::vector<query::Plan> SameScanPlans(const engine::ParjEngine& engine) {
   query::OptimizerOptions forced_two;
   forced_two.forced_order = {0, 1};
   query::OptimizerOptions forced_one;
@@ -170,15 +171,20 @@ TEST(ServingCacheTest, EngineExecuteSharedMatchesSoloExecution) {
   std::vector<query::Plan> plans;
   for (int dept = 0; dept < 2; ++dept) {
     auto plan = engine.Explain(AdvisorQuery(dept), forced_two);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    PARJ_CHECK(plan.ok()) << plan.status().ToString();
     plans.push_back(std::move(*plan));
   }
   auto single = engine.Explain(
       std::string(kPrefix) + "SELECT ?x ?y WHERE { ?x ub:advisor ?y }",
       forced_one);
-  ASSERT_TRUE(single.ok());
+  PARJ_CHECK(single.ok()) << single.status().ToString();
   plans.push_back(std::move(*single));
+  return plans;
+}
 
+TEST(ServingCacheTest, EngineExecuteSharedMatchesSoloExecution) {
+  engine::ParjEngine engine = MakeLubmEngine();
+  const std::vector<query::Plan> plans = SameScanPlans(engine);
   for (int threads : {1, 4}) {
     std::vector<const query::Plan*> plan_ptrs;
     std::vector<engine::QueryOptions> options(plans.size());
@@ -196,6 +202,113 @@ TEST(ServingCacheTest, EngineExecuteSharedMatchesSoloExecution) {
       EXPECT_EQ(SortedRows((*shared)[i]), SortedRows(*solo))
           << "member " << i << " at " << threads << " thread(s)";
       EXPECT_EQ((*shared)[i].var_names, solo->var_names);
+    }
+  }
+}
+
+/// Leaves pending deletes and inserts on ub:advisor: every 7th base edge
+/// is deleted, every 5th student gains a second advisor (an insert on a
+/// key that has a base run), faculty members gain advisors (delta-only
+/// keys between base keys), and one brand-new subject lands past the
+/// last base key.
+void DirtyAdvisorDelta(engine::ParjEngine* engine) {
+  const std::string advisor =
+      "http://swat.cse.lehigh.edu/onto/univ-bench.owl#advisor";
+  // Decoded cells are N-Triples keys: "<iri>".
+  const auto iri = [](const std::string& key) {
+    return rdf::Term::Iri(key.substr(1, key.size() - 2));
+  };
+  auto edges = engine->Execute(std::string(kPrefix) +
+                               "SELECT ?x ?y WHERE { ?x ub:advisor ?y }");
+  PARJ_CHECK(edges.ok()) << edges.status().ToString();
+  auto faculty = engine->Execute(
+      std::string(kPrefix) +
+      "SELECT ?p WHERE { ?p ub:worksFor <http://www.Department0."
+      "University0.edu> }");
+  PARJ_CHECK(faculty.ok()) << faculty.status().ToString();
+  PARJ_CHECK(edges->row_count > 20 && faculty->row_count > 4);
+  std::vector<mut::Mutation> batch;
+  for (size_t r = 0; r < edges->row_count; ++r) {
+    const std::vector<std::string> row = engine->DecodeRow(*edges, r);
+    if (r % 7 == 0) {
+      batch.push_back({{iri(row[0]), rdf::Term::Iri(advisor), iri(row[1])},
+                       /*remove=*/true});
+    } else if (r % 5 == 0) {
+      const std::vector<std::string> other =
+          engine->DecodeRow(*edges, (r + 1) % edges->row_count);
+      batch.push_back(
+          {{iri(row[0]), rdf::Term::Iri(advisor), iri(other[1])}});
+    }
+  }
+  for (size_t r = 0; r + 1 < faculty->row_count; r += 2) {
+    batch.push_back({{iri(engine->DecodeRow(*faculty, r)[0]),
+                      rdf::Term::Iri(advisor),
+                      iri(engine->DecodeRow(*faculty, r + 1)[0])}});
+  }
+  batch.push_back({{rdf::Term::Iri("http://x/late-student"),
+                    rdf::Term::Iri(advisor),
+                    iri(engine->DecodeRow(*faculty, 0)[0])}});
+  PARJ_CHECK(engine->ApplyBatch(batch).ok());
+}
+
+// The shared pass against a solo ExecutePlan of each member, across
+// static and morsel scheduling, 1/2/4/8 threads, and a clean store or one
+// with pending inserts and deletes on the leading predicate. step_rows
+// and SearchCounters must match exactly: both runs make the same cuts,
+// and cursors reset per cut, so counters do not depend on which worker
+// ran a cut. Rows match in order wherever each worker's cuts are fixed
+// (static, or one thread), and as multisets under multi-thread morsels.
+TEST(ServingCacheTest, SharedPassMatchesSoloAcrossSchedulingThreadsAndDelta) {
+  engine::ParjEngine engine = MakeLubmEngine();
+  for (const bool dirty : {false, true}) {
+    if (dirty) {
+      DirtyAdvisorDelta(&engine);
+      const mut::MutationStats stats = engine.mutation_stats();
+      ASSERT_GT(stats.delta_insert_triples, 0u);
+      ASSERT_GT(stats.delta_delete_triples, 0u);
+    }
+    const std::vector<query::Plan> plans = SameScanPlans(engine);
+    std::vector<const query::Plan*> plan_ptrs;
+    for (const query::Plan& plan : plans) plan_ptrs.push_back(&plan);
+    for (const join::Scheduling scheduling :
+         {join::Scheduling::kStatic, join::Scheduling::kMorsel}) {
+      for (const int threads : {1, 2, 4, 8}) {
+        std::vector<engine::QueryOptions> options(plans.size());
+        for (engine::QueryOptions& o : options) {
+          o.num_threads = threads;
+          o.scheduling = scheduling;
+        }
+        auto shared = engine.ExecuteShared(plan_ptrs, options);
+        ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+        ASSERT_EQ(shared->size(), plans.size());
+        const bool fixed_order =
+            scheduling == join::Scheduling::kStatic || threads == 1;
+        for (size_t i = 0; i < plans.size(); ++i) {
+          SCOPED_TRACE(std::string(dirty ? "dirty" : "clean") + " " +
+                       join::SchedulingName(scheduling) + " " +
+                       std::to_string(threads) + "t member " +
+                       std::to_string(i));
+          auto solo = engine.ExecutePlan(plans[i], options[i]);
+          ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+          const engine::QueryResult& member = (*shared)[i];
+          EXPECT_EQ(member.row_count, solo->row_count);
+          EXPECT_EQ(member.step_rows, solo->step_rows);
+          EXPECT_EQ(member.counters.binary_searches,
+                    solo->counters.binary_searches);
+          EXPECT_EQ(member.counters.sequential_searches,
+                    solo->counters.sequential_searches);
+          EXPECT_EQ(member.counters.sequential_steps,
+                    solo->counters.sequential_steps);
+          EXPECT_EQ(member.counters.index_lookups,
+                    solo->counters.index_lookups);
+          EXPECT_EQ(member.counters.run_probes, solo->counters.run_probes);
+          if (fixed_order) {
+            EXPECT_EQ(member.rows, solo->rows);
+          } else {
+            EXPECT_EQ(SortedRows(member), SortedRows(*solo));
+          }
+        }
+      }
     }
   }
 }
