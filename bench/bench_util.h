@@ -12,6 +12,7 @@
 //   PARJ_THREADS        parallel worker count, default 8 (emulated)
 //   PARJ_BENCH_REPEATS  timed repetitions per query, default 3
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
@@ -54,10 +55,13 @@ inline engine::ParjEngine BuildEngine(
 }
 
 /// Runs `sparql` `repeats` times and returns the average total time in ms
-/// (parse + optimize + execute, like the paper's reported numbers).
+/// (parse + optimize + execute, like the paper's reported numbers), with
+/// the fastest and slowest repeat beside it so run-to-run noise shows.
 /// For emulated-parallel runs, the max-shard model time is used.
 struct TimedRun {
   double millis = 0.0;
+  double min_millis = 0.0;
+  double max_millis = 0.0;
   uint64_t rows = 0;
   join::SearchCounters counters;
 };
@@ -70,13 +74,23 @@ inline TimedRun TimeQuery(const engine::ParjEngine& engine,
   for (int i = 0; i < repeats; ++i) {
     auto r = engine.Execute(sparql, options);
     PARJ_CHECK(r.ok()) << r.status().ToString();
-    out.millis += options.emulate_parallel ? r->emulated_total_millis()
-                                           : r->total_millis();
+    const double millis = options.emulate_parallel
+                              ? r->emulated_total_millis()
+                              : r->total_millis();
+    out.min_millis = i == 0 ? millis : std::min(out.min_millis, millis);
+    out.max_millis = std::max(out.max_millis, millis);
+    out.millis += millis;
     out.rows = r->row_count;
     out.counters = r->counters;
   }
   out.millis /= repeats;
   return out;
+}
+
+/// "mean [min-max]" of a TimedRun, for tables that show the repeat spread.
+inline std::string FormatTimedRange(const TimedRun& run) {
+  return FormatMillis(run.millis) + " [" + FormatMillis(run.min_millis) +
+         "-" + FormatMillis(run.max_millis) + "]";
 }
 
 /// Simple fixed-width table printer.

@@ -2,7 +2,8 @@
 // The paper excludes the very selective L4-L6 (no gain) and shows
 // near-linear improvement for the rest; we print both the modelled
 // parallel time (max over shard times — exact for share-nothing shards)
-// and the speedup factor. A second table reports real-thread wall time
+// and the speedup factor; each time is the mean of the repeats with their
+// [min-max] range beside it. A second table reports real-thread wall time
 // on the shared ThreadPool, under the paper's static shards and the
 // default morsel scheduling, so the model can be checked against this
 // host's cores.
@@ -21,7 +22,9 @@ int Run() {
               "LUBM scale: " + std::to_string(universities) +
               " (paper: 10240) | shard-sequential emulation: the reported\n"
               "time for N threads is max(shard_0..shard_{N-1}) + parse + "
-              "optimize, the wall time of N share-nothing cores");
+              "optimize, the wall time of N share-nothing cores\n"
+              "each cell: mean [min-max] of " + std::to_string(repeats) +
+              " repeat(s)");
 
   workload::GeneratedData data =
       workload::GenerateLubm({.universities = universities, .seed = 42});
@@ -46,7 +49,7 @@ int Run() {
       opts.emulate_parallel = true;
       opts.scheduling = join::Scheduling::kStatic;  // paper replication
       TimedRun run = TimeQuery(engine, q.sparql, opts, repeats);
-      row.push_back(FormatMillis(run.millis));
+      row.push_back(FormatTimedRange(run));
       if (threads == 1) t1 = run.millis;
       if (threads == 16) t16 = run.millis;
     }
@@ -77,7 +80,7 @@ int Run() {
         opts.num_threads = threads;
         opts.scheduling = scheduling;
         TimedRun run = TimeQuery(engine, q.sparql, opts, repeats);
-        row.push_back(FormatMillis(run.millis));
+        row.push_back(FormatTimedRange(run));
         if (threads == 1) t1 = run.millis;
         if (threads == 4) t4 = run.millis;
       }

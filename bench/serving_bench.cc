@@ -178,7 +178,7 @@ int Main() {
     level.mean = server.metrics().total.mean_millis();
     levels.push_back(level);
     if (clients == 16) {
-      final_dump = server.metrics().Dump();
+      final_dump = server.DumpMetrics();
       watchdog_kills = server.metrics().watchdog_kills.load();
       retries = server.metrics().retries.load();
       worker_faults = server.metrics().worker_faults.load();

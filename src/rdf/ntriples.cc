@@ -3,9 +3,7 @@
 #include <istream>
 #include <ostream>
 
-#include "common/durable_io.h"
 #include "common/strings.h"
-#include "common/timer.h"
 #include "server/thread_pool.h"
 
 namespace parj::rdf {
@@ -325,15 +323,6 @@ Result<std::vector<ParsedChunk>> ParseTextParallel(
     chunks[c].triples = std::move(triples[c]);
   }
   return chunks;
-}
-
-Result<std::vector<ParsedChunk>> ParseFileParallel(
-    const std::string& path, const ParallelParseOptions& options,
-    double* read_millis) {
-  Stopwatch read_timer;
-  PARJ_ASSIGN_OR_RETURN(const std::string text, io::ReadFile(path));
-  if (read_millis != nullptr) *read_millis = read_timer.ElapsedMillis();
-  return ParseTextParallel(text, options);
 }
 
 void WriteNTriples(const std::vector<Triple>& triples, std::ostream& out) {

@@ -141,14 +141,6 @@ Status WalkChunks(std::string_view text, const ParallelParseOptions& options,
 Result<std::vector<ParsedChunk>> ParseTextParallel(
     std::string_view text, const ParallelParseOptions& options = {});
 
-/// Reads `path` into one string sized from the file (io::ReadFile) and
-/// parses it with ParseTextParallel (parsed Triples own their strings, so
-/// the file buffer is dropped on return). `read_millis`, when non-null,
-/// receives the file-to-memory read time.
-Result<std::vector<ParsedChunk>> ParseFileParallel(
-    const std::string& path, const ParallelParseOptions& options = {},
-    double* read_millis = nullptr);
-
 }  // namespace parj::rdf
 
 #endif  // PARJ_RDF_NTRIPLES_H_

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 namespace parj::server {
 
@@ -56,103 +55,6 @@ void LatencyHistogram::Reset() {
   max_micros_.store(0, std::memory_order_relaxed);
 }
 
-namespace {
-
-void AppendHistogram(std::string* out, const char* name,
-                     const LatencyHistogram& h) {
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "%-12s count=%llu mean=%.3fms p50<=%.3fms p99<=%.3fms "
-                "max=%.3fms\n",
-                name, static_cast<unsigned long long>(h.count()),
-                h.mean_millis(), h.PercentileMillis(0.5),
-                h.PercentileMillis(0.99), h.max_millis());
-  *out += line;
-}
-
-void AppendCounter(std::string* out, const char* name,
-                   const std::atomic<uint64_t>& value) {
-  char line[96];
-  std::snprintf(line, sizeof(line), "%-20s %llu\n", name,
-                static_cast<unsigned long long>(
-                    value.load(std::memory_order_relaxed)));
-  *out += line;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::Dump() const {
-  std::string out = "--- serving metrics ---\n";
-  AppendCounter(&out, "queries_submitted", queries_submitted);
-  AppendCounter(&out, "queries_admitted", queries_admitted);
-  AppendCounter(&out, "admission_rejected", admission_rejected);
-  AppendCounter(&out, "queries_completed", queries_completed);
-  AppendCounter(&out, "queries_failed", queries_failed);
-  AppendCounter(&out, "queries_cancelled", queries_cancelled);
-  AppendCounter(&out, "deadlines_expired", deadlines_expired);
-  AppendCounter(&out, "rows_returned", rows_returned);
-  AppendCounter(&out, "rows_skipped_by_limit", rows_skipped_by_limit);
-  AppendCounter(&out, "retries", retries);
-  AppendCounter(&out, "watchdog_kills", watchdog_kills);
-  AppendCounter(&out, "degraded_activations", degraded_activations);
-  AppendCounter(&out, "degraded_rejected", degraded_rejected);
-  AppendCounter(&out, "worker_faults", worker_faults);
-  AppendCounter(&out, "snapshot_crc_verified", snapshot_crc_verified);
-  AppendCounter(&out, "load_total_micros", load_total_micros);
-  AppendCounter(&out, "load_parse_micros", load_parse_micros);
-  AppendCounter(&out, "load_encode_micros", load_encode_micros);
-  AppendCounter(&out, "load_build_micros", load_build_micros);
-  AppendCounter(&out, "load_index_micros", load_index_micros);
-  AppendCounter(&out, "load_calibrate_micros", load_calibrate_micros);
-  AppendCounter(&out, "load_threads_used", load_threads_used);
-  AppendCounter(&out, "delta_triples", delta_triples);
-  AppendCounter(&out, "delta_bytes", delta_bytes);
-  AppendCounter(&out, "compactions", compactions);
-  {
-    char line[96];
-    std::snprintf(line, sizeof(line), "%-20s %.3f\n", "compaction_ms",
-                  static_cast<double>(compaction_micros.load(
-                      std::memory_order_relaxed)) / 1e3);
-    out += line;
-  }
-  AppendCounter(&out, "active_epochs", active_epochs);
-  AppendCounter(&out, "store_bytes", store_bytes);
-  AppendCounter(&out, "store_allocated_bytes", store_allocated_bytes);
-  AppendCounter(&out, "store_raw_bytes", store_raw_bytes);
-  AppendCounter(&out, "wal_records", wal_records);
-  AppendCounter(&out, "wal_bytes", wal_bytes);
-  AppendCounter(&out, "wal_fsyncs", wal_fsyncs);
-  {
-    char line[96];
-    std::snprintf(line, sizeof(line), "%-20s %.3f\n", "group_commit_ms",
-                  static_cast<double>(wal_group_commit_micros.load(
-                      std::memory_order_relaxed)) / 1e3);
-    out += line;
-  }
-  AppendCounter(&out, "wal_group_commits", wal_group_commits);
-  AppendCounter(&out, "wal_backlog_bytes", wal_backlog_bytes);
-  AppendCounter(&out, "wal_segments", wal_segments);
-  AppendCounter(&out, "wal_checkpoints", wal_checkpoints);
-  AppendCounter(&out, "wal_backpressure_waits", wal_backpressure_waits);
-  AppendCounter(&out, "recovery_replayed", recovery_replayed);
-  AppendCounter(&out, "recovery_truncated_bytes", recovery_truncated_bytes);
-  AppendCounter(&out, "recovery_millis", recovery_millis);
-  AppendCounter(&out, "plan_cache_hits", plan_cache_hits);
-  AppendCounter(&out, "plan_cache_misses", plan_cache_misses);
-  AppendCounter(&out, "plan_cache_evictions", plan_cache_evictions);
-  AppendCounter(&out, "result_cache_hits", result_cache_hits);
-  AppendCounter(&out, "result_cache_misses", result_cache_misses);
-  AppendCounter(&out, "result_cache_bytes", result_cache_bytes);
-  AppendCounter(&out, "shared_scan_groups", shared_scan_groups);
-  AppendCounter(&out, "shared_scan_queries_coalesced",
-                shared_scan_queries_coalesced);
-  AppendCounter(&out, "shared_scan_fallbacks", shared_scan_fallbacks);
-  AppendHistogram(&out, "queue_wait", queue_wait);
-  AppendHistogram(&out, "execution", execution);
-  AppendHistogram(&out, "total", total);
-  return out;
-}
-
 void MetricsRegistry::Reset() {
   queries_submitted.store(0, std::memory_order_relaxed);
   queries_admitted.store(0, std::memory_order_relaxed);
@@ -168,40 +70,6 @@ void MetricsRegistry::Reset() {
   degraded_activations.store(0, std::memory_order_relaxed);
   degraded_rejected.store(0, std::memory_order_relaxed);
   worker_faults.store(0, std::memory_order_relaxed);
-  snapshot_crc_verified.store(0, std::memory_order_relaxed);
-  load_total_micros.store(0, std::memory_order_relaxed);
-  load_parse_micros.store(0, std::memory_order_relaxed);
-  load_encode_micros.store(0, std::memory_order_relaxed);
-  load_build_micros.store(0, std::memory_order_relaxed);
-  load_index_micros.store(0, std::memory_order_relaxed);
-  load_calibrate_micros.store(0, std::memory_order_relaxed);
-  load_threads_used.store(0, std::memory_order_relaxed);
-  delta_triples.store(0, std::memory_order_relaxed);
-  delta_bytes.store(0, std::memory_order_relaxed);
-  compactions.store(0, std::memory_order_relaxed);
-  compaction_micros.store(0, std::memory_order_relaxed);
-  active_epochs.store(0, std::memory_order_relaxed);
-  store_bytes.store(0, std::memory_order_relaxed);
-  store_allocated_bytes.store(0, std::memory_order_relaxed);
-  store_raw_bytes.store(0, std::memory_order_relaxed);
-  wal_records.store(0, std::memory_order_relaxed);
-  wal_bytes.store(0, std::memory_order_relaxed);
-  wal_fsyncs.store(0, std::memory_order_relaxed);
-  wal_group_commit_micros.store(0, std::memory_order_relaxed);
-  wal_group_commits.store(0, std::memory_order_relaxed);
-  wal_backlog_bytes.store(0, std::memory_order_relaxed);
-  wal_segments.store(0, std::memory_order_relaxed);
-  wal_checkpoints.store(0, std::memory_order_relaxed);
-  wal_backpressure_waits.store(0, std::memory_order_relaxed);
-  recovery_replayed.store(0, std::memory_order_relaxed);
-  recovery_truncated_bytes.store(0, std::memory_order_relaxed);
-  recovery_millis.store(0, std::memory_order_relaxed);
-  plan_cache_hits.store(0, std::memory_order_relaxed);
-  plan_cache_misses.store(0, std::memory_order_relaxed);
-  plan_cache_evictions.store(0, std::memory_order_relaxed);
-  result_cache_hits.store(0, std::memory_order_relaxed);
-  result_cache_misses.store(0, std::memory_order_relaxed);
-  result_cache_bytes.store(0, std::memory_order_relaxed);
   shared_scan_groups.store(0, std::memory_order_relaxed);
   shared_scan_queries_coalesced.store(0, std::memory_order_relaxed);
   shared_scan_fallbacks.store(0, std::memory_order_relaxed);

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace parj::server {
 
@@ -50,9 +49,10 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_micros_{0};
 };
 
-/// All serving-layer counters and histograms. One instance per
-/// QueryServer; everything is an atomic, so workers record without locks
-/// and Dump() reads a consistent-enough snapshot for operators.
+/// The counters and histograms the serving path itself records. One
+/// instance per QueryServer; everything is an atomic, so workers record
+/// without locks. QueryServer::DumpMetrics() renders them beside the
+/// gauges it reads from their owners (store, WAL, caches) at dump time.
 struct MetricsRegistry {
   std::atomic<uint64_t> queries_submitted{0};
   std::atomic<uint64_t> queries_admitted{0};
@@ -67,70 +67,14 @@ struct MetricsRegistry {
   /// early exit is actually cutting work.
   std::atomic<uint64_t> rows_skipped_by_limit{0};
 
-  // Robustness counters (watchdog / retry / degradation / integrity).
+  // Robustness counters (watchdog / retry / degradation).
   std::atomic<uint64_t> retries{0};              ///< re-submissions after transient failure
   std::atomic<uint64_t> watchdog_kills{0};       ///< queries killed past the wall-clock cap
   std::atomic<uint64_t> degraded_activations{0}; ///< entries into degraded mode
   std::atomic<uint64_t> degraded_rejected{0};    ///< queries shed while degraded
   std::atomic<uint64_t> worker_faults{0};        ///< exceptions contained at the worker boundary
-  std::atomic<uint64_t> snapshot_crc_verified{0};///< mirrored from GlobalSnapshotStats
 
-  // Bulk-load phase gauges (microseconds), set once by the serving CLI
-  // after load from engine::LoadStats so operators can see where start-up
-  // time went without rerunning the load.
-  std::atomic<uint64_t> load_total_micros{0};
-  std::atomic<uint64_t> load_parse_micros{0};
-  std::atomic<uint64_t> load_encode_micros{0};
-  std::atomic<uint64_t> load_build_micros{0};
-  std::atomic<uint64_t> load_index_micros{0};
-  std::atomic<uint64_t> load_calibrate_micros{0};
-  std::atomic<uint64_t> load_threads_used{0};
-
-  // Live-mutability gauges (DESIGN.md §12), refreshed from
-  // mut::MutationStats by QueryServer on every submission and by the
-  // serving CLI before each `.metrics` dump.
-  std::atomic<uint64_t> delta_triples{0};     ///< pending inserts + deletes
-  std::atomic<uint64_t> delta_bytes{0};       ///< delta tables + overlay heap
-  std::atomic<uint64_t> compactions{0};       ///< completed compactions
-  std::atomic<uint64_t> compaction_micros{0}; ///< cumulative compaction wall
-  std::atomic<uint64_t> active_epochs{0};     ///< live pinned versions
-
-  // Base-store size gauges (refreshed alongside the mutation gauges).
-  // store_bytes counts live bytes (vector sizes / packed payloads);
-  // store_allocated_bytes counts allocator capacity, so the difference is
-  // exactly the reserve slack. With compression=blocked, store_bytes drops
-  // to the packed size while store_raw_bytes keeps the flat-equivalent
-  // denominator of the compression ratio.
-  std::atomic<uint64_t> store_bytes{0};
-  std::atomic<uint64_t> store_allocated_bytes{0};
-  std::atomic<uint64_t> store_raw_bytes{0};
-
-  // Crash-durability gauges (DESIGN.md §14), refreshed from mut::WalStats /
-  // mut::RecoveryStats alongside the mutation gauges. All zero when the
-  // engine serves without a WAL.
-  std::atomic<uint64_t> wal_records{0};        ///< batch records appended
-  std::atomic<uint64_t> wal_bytes{0};          ///< framed bytes written
-  std::atomic<uint64_t> wal_fsyncs{0};         ///< segment fsyncs issued
-  std::atomic<uint64_t> wal_group_commit_micros{0};  ///< cumulative fsync wait
-  std::atomic<uint64_t> wal_group_commits{0};  ///< batched fsync rounds
-  std::atomic<uint64_t> wal_backlog_bytes{0};  ///< queued, not yet written
-  std::atomic<uint64_t> wal_segments{0};       ///< live segment files
-  std::atomic<uint64_t> wal_checkpoints{0};    ///< completed checkpoints
-  std::atomic<uint64_t> wal_backpressure_waits{0};  ///< appends that blocked
-  std::atomic<uint64_t> recovery_replayed{0};  ///< records replayed at boot
-  std::atomic<uint64_t> recovery_truncated_bytes{0};  ///< torn tail dropped
-  std::atomic<uint64_t> recovery_millis{0};    ///< snapshot load + replay
-
-  // Serving-cache counters (DESIGN.md §15). The plan/result cache rows
-  // are gauges refreshed from the caches' own stats alongside the
-  // mutation gauges; the shared-scan rows are incremented directly by
-  // the serving path.
-  std::atomic<uint64_t> plan_cache_hits{0};       ///< bound-text or shape hits
-  std::atomic<uint64_t> plan_cache_misses{0};     ///< eligible lookups that optimized
-  std::atomic<uint64_t> plan_cache_evictions{0};  ///< LRU evictions (gauge)
-  std::atomic<uint64_t> result_cache_hits{0};     ///< answers served from cache
-  std::atomic<uint64_t> result_cache_misses{0};   ///< lookups that executed
-  std::atomic<uint64_t> result_cache_bytes{0};    ///< resident bytes (gauge)
+  // Shared-scan counters (DESIGN.md §15), incremented by the serving path.
   std::atomic<uint64_t> shared_scan_groups{0};    ///< shared passes executed
   std::atomic<uint64_t> shared_scan_queries_coalesced{0};  ///< queries served by another query's pass
   std::atomic<uint64_t> shared_scan_fallbacks{0};  ///< groups degraded to solo execution
@@ -138,9 +82,6 @@ struct MetricsRegistry {
   LatencyHistogram queue_wait;  ///< submit -> job start
   LatencyHistogram execution;   ///< engine Execute wall time
   LatencyHistogram total;       ///< submit -> result ready
-
-  /// Human-readable text dump for the CLI / benches.
-  std::string Dump() const;
 
   void Reset();
 };

@@ -1,6 +1,7 @@
 #include "server/server.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <exception>
 #include <memory>
 #include <new>
@@ -13,6 +14,7 @@
 #include "common/failpoint.h"
 #include "common/timer.h"
 #include "query/parser.h"
+#include "storage/snapshot.h"
 
 namespace parj::server {
 
@@ -86,56 +88,120 @@ void QueryServer::ClearCaches() {
   if (result_cache_ != nullptr) result_cache_->Clear();
 }
 
-void QueryServer::RefreshMutationGauges() {
-  const mut::MutationStats s = engine_->mutation_stats();
-  metrics_.delta_triples.store(s.delta_insert_triples + s.delta_delete_triples,
-                               std::memory_order_relaxed);
-  metrics_.delta_bytes.store(s.delta_bytes, std::memory_order_relaxed);
-  metrics_.compactions.store(s.compactions, std::memory_order_relaxed);
-  metrics_.compaction_micros.store(s.compaction_micros,
-                                   std::memory_order_relaxed);
-  metrics_.active_epochs.store(s.active_epochs, std::memory_order_relaxed);
-  const storage::Database& db = engine_->database();
-  metrics_.store_bytes.store(db.TableMemoryUsage(), std::memory_order_relaxed);
-  metrics_.store_allocated_bytes.store(db.TableAllocatedUsage(),
-                                       std::memory_order_relaxed);
-  metrics_.store_raw_bytes.store(db.TableRawBytes(),
-                                 std::memory_order_relaxed);
-  const mut::WalStats w = engine_->wal_stats();
-  metrics_.wal_records.store(w.records, std::memory_order_relaxed);
-  metrics_.wal_bytes.store(w.bytes, std::memory_order_relaxed);
-  metrics_.wal_fsyncs.store(w.fsyncs, std::memory_order_relaxed);
-  metrics_.wal_group_commit_micros.store(w.group_commit_micros,
-                                         std::memory_order_relaxed);
-  metrics_.wal_group_commits.store(w.group_commits,
-                                   std::memory_order_relaxed);
-  metrics_.wal_backlog_bytes.store(w.backlog_bytes,
-                                   std::memory_order_relaxed);
-  metrics_.wal_segments.store(w.segments, std::memory_order_relaxed);
-  metrics_.wal_checkpoints.store(w.checkpoints, std::memory_order_relaxed);
-  metrics_.wal_backpressure_waits.store(w.backpressure_waits,
-                                        std::memory_order_relaxed);
-  const mut::RecoveryStats& r = engine_->recovery_stats();
-  metrics_.recovery_replayed.store(r.records_replayed,
-                                   std::memory_order_relaxed);
-  metrics_.recovery_truncated_bytes.store(r.truncated_bytes,
-                                          std::memory_order_relaxed);
-  metrics_.recovery_millis.store(
-      static_cast<uint64_t>(r.snapshot_load_millis + r.replay_millis),
-      std::memory_order_relaxed);
-  if (plan_cache_ != nullptr) {
-    const query::PlanCacheStats pc = plan_cache_->stats();
-    metrics_.plan_cache_hits.store(pc.hits, std::memory_order_relaxed);
-    metrics_.plan_cache_misses.store(pc.misses, std::memory_order_relaxed);
-    metrics_.plan_cache_evictions.store(pc.evictions,
-                                        std::memory_order_relaxed);
-  }
-  if (result_cache_ != nullptr) {
-    const ResultCacheStats rc = result_cache_->stats();
-    metrics_.result_cache_hits.store(rc.hits, std::memory_order_relaxed);
-    metrics_.result_cache_misses.store(rc.misses, std::memory_order_relaxed);
-    metrics_.result_cache_bytes.store(rc.bytes, std::memory_order_relaxed);
-  }
+namespace {
+
+void AppendCounter(std::string* out, const char* name, uint64_t value) {
+  char line[96];
+  std::snprintf(line, sizeof(line), "%-20s %llu\n", name,
+                static_cast<unsigned long long>(value));
+  *out += line;
+}
+
+void AppendCounter(std::string* out, const char* name,
+                   const std::atomic<uint64_t>& value) {
+  AppendCounter(out, name, value.load(std::memory_order_relaxed));
+}
+
+void AppendMicrosAsMillis(std::string* out, const char* name, uint64_t micros) {
+  char line[96];
+  std::snprintf(line, sizeof(line), "%-20s %.3f\n", name,
+                static_cast<double>(micros) / 1e3);
+  *out += line;
+}
+
+void AppendHistogram(std::string* out, const char* name,
+                     const LatencyHistogram& h) {
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "%-12s count=%llu mean=%.3fms p50<=%.3fms p99<=%.3fms "
+                "max=%.3fms\n",
+                name, static_cast<unsigned long long>(h.count()),
+                h.mean_millis(), h.PercentileMillis(0.5),
+                h.PercentileMillis(0.99), h.max_millis());
+  *out += line;
+}
+
+uint64_t Micros(double millis) { return static_cast<uint64_t>(millis * 1e3); }
+
+}  // namespace
+
+std::string QueryServer::DumpMetrics() const {
+  const MetricsRegistry& m = metrics_;
+  const engine::LoadStats& load = engine_->load_stats();
+  const mut::MutationStats mutation = engine_->mutation_stats();
+  // The byte walk reads a pinned base, so a concurrent compaction cannot
+  // free it mid-walk.
+  const mut::MvccSnapshot snap = engine_->snapshot();
+  const mut::WalStats wal = engine_->wal_stats();
+  const mut::RecoveryStats& recovery = engine_->recovery_stats();
+  const query::PlanCacheStats plans =
+      plan_cache_ != nullptr ? plan_cache_->stats() : query::PlanCacheStats{};
+  const ResultCacheStats results =
+      result_cache_ != nullptr ? result_cache_->stats() : ResultCacheStats{};
+
+  std::string out = "--- serving metrics ---\n";
+  AppendCounter(&out, "queries_submitted", m.queries_submitted);
+  AppendCounter(&out, "queries_admitted", m.queries_admitted);
+  AppendCounter(&out, "admission_rejected", m.admission_rejected);
+  AppendCounter(&out, "queries_completed", m.queries_completed);
+  AppendCounter(&out, "queries_failed", m.queries_failed);
+  AppendCounter(&out, "queries_cancelled", m.queries_cancelled);
+  AppendCounter(&out, "deadlines_expired", m.deadlines_expired);
+  AppendCounter(&out, "rows_returned", m.rows_returned);
+  AppendCounter(&out, "rows_skipped_by_limit", m.rows_skipped_by_limit);
+  AppendCounter(&out, "retries", m.retries);
+  AppendCounter(&out, "watchdog_kills", m.watchdog_kills);
+  AppendCounter(&out, "degraded_activations", m.degraded_activations);
+  AppendCounter(&out, "degraded_rejected", m.degraded_rejected);
+  AppendCounter(&out, "worker_faults", m.worker_faults);
+  AppendCounter(&out, "snapshot_crc_verified",
+                storage::GlobalSnapshotStats().crc_sections_verified);
+  AppendCounter(&out, "load_total_micros", Micros(load.total_millis));
+  AppendCounter(&out, "load_parse_micros", Micros(load.parse_millis));
+  AppendCounter(&out, "load_encode_micros", Micros(load.encode_millis));
+  AppendCounter(&out, "load_build_micros", Micros(load.build_millis));
+  AppendCounter(&out, "load_index_micros", Micros(load.index_millis));
+  AppendCounter(&out, "load_calibrate_micros", Micros(load.calibrate_millis));
+  AppendCounter(&out, "load_threads_used",
+                static_cast<uint64_t>(load.threads));
+  AppendCounter(&out, "delta_triples",
+                mutation.delta_insert_triples + mutation.delta_delete_triples);
+  AppendCounter(&out, "delta_bytes", mutation.delta_bytes);
+  AppendCounter(&out, "compactions", mutation.compactions);
+  AppendMicrosAsMillis(&out, "compaction_ms", mutation.compaction_micros);
+  AppendCounter(&out, "active_epochs", mutation.active_epochs);
+  AppendCounter(&out, "store_bytes", snap.base().TableMemoryUsage());
+  AppendCounter(&out, "store_allocated_bytes",
+                snap.base().TableAllocatedUsage());
+  AppendCounter(&out, "store_raw_bytes", snap.base().TableRawBytes());
+  AppendCounter(&out, "wal_records", wal.records);
+  AppendCounter(&out, "wal_bytes", wal.bytes);
+  AppendCounter(&out, "wal_fsyncs", wal.fsyncs);
+  AppendMicrosAsMillis(&out, "group_commit_ms", wal.group_commit_micros);
+  AppendCounter(&out, "wal_group_commits", wal.group_commits);
+  AppendCounter(&out, "wal_backlog_bytes", wal.backlog_bytes);
+  AppendCounter(&out, "wal_segments", wal.segments);
+  AppendCounter(&out, "wal_checkpoints", wal.checkpoints);
+  AppendCounter(&out, "wal_backpressure_waits", wal.backpressure_waits);
+  AppendCounter(&out, "recovery_replayed", recovery.records_replayed);
+  AppendCounter(&out, "recovery_truncated_bytes", recovery.truncated_bytes);
+  AppendCounter(&out, "recovery_millis",
+                static_cast<uint64_t>(recovery.snapshot_load_millis +
+                                      recovery.replay_millis));
+  AppendCounter(&out, "plan_cache_hits", plans.hits);
+  AppendCounter(&out, "plan_cache_misses", plans.misses);
+  AppendCounter(&out, "plan_cache_evictions", plans.evictions);
+  AppendCounter(&out, "result_cache_hits", results.hits);
+  AppendCounter(&out, "result_cache_misses", results.misses);
+  AppendCounter(&out, "result_cache_bytes", results.bytes);
+  AppendCounter(&out, "shared_scan_groups", m.shared_scan_groups);
+  AppendCounter(&out, "shared_scan_queries_coalesced",
+                m.shared_scan_queries_coalesced);
+  AppendCounter(&out, "shared_scan_fallbacks", m.shared_scan_fallbacks);
+  AppendHistogram(&out, "queue_wait", m.queue_wait);
+  AppendHistogram(&out, "execution", m.execution);
+  AppendHistogram(&out, "total", m.total);
+  return out;
 }
 
 void QueryServer::CountTermination(const CancellationToken& token) {
@@ -450,7 +516,7 @@ SubmittedQuery QueryServer::SubmitInternal(
   // and fall back to static scheduling for the rest. Ingest pressure
   // (pending-delta size against the configured cap) counts as load too.
   auto evaluate_degradation = [&]() -> DegradationDecision {
-    RefreshMutationGauges();
+    if (!options_.degradation.enabled) return {};
     const double capacity =
         static_cast<double>(options_.scheduler.max_in_flight) +
         static_cast<double>(options_.scheduler.max_queue);
@@ -460,9 +526,10 @@ SubmittedQuery QueryServer::SubmitInternal(
                static_cast<double>(scheduler_.queued())) / capacity
             : 0.0;
     if (options_.degradation.max_delta_triples > 0) {
+      const mut::MutationStats delta = engine_->mutation_stats();
       const double ingest_fraction =
-          static_cast<double>(
-              metrics_.delta_triples.load(std::memory_order_relaxed)) /
+          static_cast<double>(delta.delta_insert_triples +
+                              delta.delta_delete_triples) /
           static_cast<double>(options_.degradation.max_delta_triples);
       load_fraction = std::max(load_fraction, ingest_fraction);
     }

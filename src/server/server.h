@@ -148,11 +148,12 @@ class QueryServer {
   /// Blocks until every admitted query has finished.
   void Drain() { scheduler_.Drain(); }
 
-  /// Copies the engine's live-mutability counters (delta sizes,
-  /// compactions, active epochs) into the metrics registry. Runs on every
-  /// submission; the serving CLI also calls it before each `.metrics`
-  /// dump so gauges are fresh even on an idle server.
-  void RefreshMutationGauges();
+  /// The `.metrics` text: the registry's counters and histograms, plus
+  /// gauges read once from their owners at call time — load phases,
+  /// snapshot CRCs, delta and compaction state, store bytes of a pinned
+  /// base, WAL and recovery counters, and both caches' stats. Submissions
+  /// never copy these gauges.
+  std::string DumpMetrics() const;
 
   const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry& metrics() { return metrics_; }

@@ -173,25 +173,6 @@ TEST(LoaderTest, NonStrictRecordsRealErrorLines) {
   EXPECT_EQ(error_lines, (std::vector<uint64_t>{2, 5}));
 }
 
-TEST(LoaderTest, ParseFileParallelMatchesTextParse) {
-  const std::string text = MakeDocument(60);
-  const std::string path = ::testing::TempDir() + "/parj_loader_test.nt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << text;
-  }
-  ParallelParseOptions options;
-  options.chunk_bytes = 512;
-  double read_millis = -1.0;
-  auto from_file = ParseFileParallel(path, options, &read_millis);
-  std::remove(path.c_str());
-  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
-  auto from_text = ParseTextParallel(text, options);
-  ASSERT_TRUE(from_text.ok());
-  EXPECT_EQ(Flatten(*from_file), Flatten(*from_text));
-  EXPECT_GE(read_millis, 0.0);
-}
-
 }  // namespace
 }  // namespace parj::rdf
 

@@ -474,19 +474,44 @@ TEST(ServingTest, MutationGaugesFlowIntoMetrics) {
   ASSERT_TRUE(engine.Compact().ok());
   ASSERT_TRUE(engine.Insert(T("e", "knows", "f")).ok());
 
+  // No query has been submitted: the dump reads the store itself.
   server::QueryServer server(&engine, {});
-  server.RefreshMutationGauges();
-  const server::MetricsRegistry& m = server.metrics();
-  EXPECT_EQ(m.delta_triples.load(), 1u);
-  EXPECT_GT(m.delta_bytes.load(), 0u);
-  EXPECT_EQ(m.compactions.load(), 1u);
-  EXPECT_GT(m.compaction_micros.load(), 0u);
-  EXPECT_GE(m.active_epochs.load(), 1u);
+  const std::string dump = server.DumpMetrics();
+  EXPECT_EQ(test::MetricValue(dump, "delta_triples"), "1");
+  EXPECT_GT(std::stoull(test::MetricValue(dump, "delta_bytes")), 0u);
+  EXPECT_EQ(test::MetricValue(dump, "compactions"), "1");
+  EXPECT_GT(std::stod(test::MetricValue(dump, "compaction_ms")), 0.0);
+  EXPECT_GE(std::stoull(test::MetricValue(dump, "active_epochs")), 1u);
+  EXPECT_EQ(test::MetricValue(dump, "store_bytes"),
+            std::to_string(engine.snapshot().base().TableMemoryUsage()));
+  EXPECT_EQ(test::MetricValue(dump, "queries_submitted"), "0");
+}
 
-  const std::string dump = m.Dump();
-  EXPECT_NE(dump.find("delta_triples"), std::string::npos);
-  EXPECT_NE(dump.find("compaction_ms"), std::string::npos);
-  EXPECT_NE(dump.find("active_epochs"), std::string::npos);
+// The dump walks the store's replicas while a writer compacts; the base
+// it walks must stay pinned until the walk ends.
+TEST(ServingTest, MetricsDumpDuringCompactionIsSafe) {
+  auto engine = MakeMutableEngine();
+  server::ServerOptions options;
+  options.result_cache_bytes = 0;
+  server::QueryServer server(&engine, options);
+  constexpr int kRounds = 60;
+  std::thread writer([&engine] {
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_TRUE(
+          engine.Insert(T("w" + std::to_string(i), "knows", "a")).ok());
+      EXPECT_TRUE(engine.Compact().ok());
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    auto result = server.Submit(kKnowsQuery).result.get();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(std::stoull(test::MetricValue(server.DumpMetrics(),
+                                            "store_bytes")),
+              0u);
+  }
+  writer.join();
+  EXPECT_EQ(test::MetricValue(server.DumpMetrics(), "compactions"),
+            std::to_string(kRounds));
 }
 
 TEST(ServingTest, IngestPressureShedsLowPriorityQueries) {

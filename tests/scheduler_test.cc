@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "server/metrics.h"
+#include "server/server.h"
+#include "test_util.h"
 
 namespace parj::server {
 namespace {
@@ -126,16 +128,18 @@ TEST(LatencyHistogramTest, PercentileIsMonotoneInP) {
 }
 
 TEST(MetricsRegistryTest, DumpListsCountersAndHistograms) {
-  MetricsRegistry metrics;
+  engine::ParjEngine engine = test::MakeEngine({{"a", "p", "b"}});
+  QueryServer server(&engine, {});
+  MetricsRegistry& metrics = server.metrics();
   metrics.queries_submitted.store(3);
   metrics.admission_rejected.store(1);
   metrics.rows_returned.store(42);
   metrics.execution.Record(5.0);
-  const std::string dump = metrics.Dump();
-  EXPECT_NE(dump.find("queries_submitted"), std::string::npos);
-  EXPECT_NE(dump.find("admission_rejected"), std::string::npos);
-  EXPECT_NE(dump.find("42"), std::string::npos);
-  EXPECT_NE(dump.find("execution"), std::string::npos);
+  const std::string dump = server.DumpMetrics();
+  EXPECT_EQ(test::MetricValue(dump, "queries_submitted"), "3");
+  EXPECT_EQ(test::MetricValue(dump, "admission_rejected"), "1");
+  EXPECT_EQ(test::MetricValue(dump, "rows_returned"), "42");
+  EXPECT_EQ(test::MetricValue(dump, "execution"), "count=1");
   metrics.Reset();
   EXPECT_EQ(metrics.queries_submitted.load(), 0u);
   EXPECT_EQ(metrics.execution.count(), 0u);

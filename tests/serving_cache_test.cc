@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "mutable/delta_store.h"
 #include "server/server.h"
+#include "test_util.h"
 #include "workload/lubm.h"
 
 namespace parj::server {
@@ -427,14 +428,98 @@ TEST(ServingCacheTest, CacheCountersFlowIntoMetricsDump) {
   QueryServer server(&engine, {});
   ASSERT_TRUE(server.Execute(AdvisorQuery()).ok());
   ASSERT_TRUE(server.Execute(AdvisorQuery()).ok());
-  server.RefreshMutationGauges();
-  EXPECT_GE(server.metrics().result_cache_hits.load(), 1u);
-  EXPECT_GE(server.metrics().result_cache_bytes.load(), 1u);
-  EXPECT_GE(server.metrics().plan_cache_misses.load(), 1u);
-  const std::string dump = server.metrics().Dump();
-  EXPECT_NE(dump.find("plan_cache_hits"), std::string::npos);
-  EXPECT_NE(dump.find("result_cache_hits"), std::string::npos);
-  EXPECT_NE(dump.find("shared_scan_groups"), std::string::npos);
+  const query::PlanCacheStats plans = server.plan_cache()->stats();
+  const ResultCacheStats results = server.result_cache()->stats();
+  EXPECT_GE(results.hits, 1u);
+  EXPECT_GE(results.bytes, 1u);
+  EXPECT_GE(plans.misses, 1u);
+  const std::string dump = server.DumpMetrics();
+  EXPECT_EQ(test::MetricValue(dump, "plan_cache_hits"),
+            std::to_string(plans.hits));
+  EXPECT_EQ(test::MetricValue(dump, "plan_cache_misses"),
+            std::to_string(plans.misses));
+  EXPECT_EQ(test::MetricValue(dump, "result_cache_hits"),
+            std::to_string(results.hits));
+  EXPECT_EQ(test::MetricValue(dump, "result_cache_bytes"),
+            std::to_string(results.bytes));
+  EXPECT_EQ(test::MetricValue(dump, "shared_scan_groups"), "0");
+}
+
+TEST(ServingCacheTest, MetricsDumpKeepsLineNamesInOrder) {
+  // The line names `.metrics` prints, in order; README, DESIGN.md and
+  // operators refer to them.
+  const std::vector<std::string> kNames = {
+      "---",
+      "queries_submitted",
+      "queries_admitted",
+      "admission_rejected",
+      "queries_completed",
+      "queries_failed",
+      "queries_cancelled",
+      "deadlines_expired",
+      "rows_returned",
+      "rows_skipped_by_limit",
+      "retries",
+      "watchdog_kills",
+      "degraded_activations",
+      "degraded_rejected",
+      "worker_faults",
+      "snapshot_crc_verified",
+      "load_total_micros",
+      "load_parse_micros",
+      "load_encode_micros",
+      "load_build_micros",
+      "load_index_micros",
+      "load_calibrate_micros",
+      "load_threads_used",
+      "delta_triples",
+      "delta_bytes",
+      "compactions",
+      "compaction_ms",
+      "active_epochs",
+      "store_bytes",
+      "store_allocated_bytes",
+      "store_raw_bytes",
+      "wal_records",
+      "wal_bytes",
+      "wal_fsyncs",
+      "group_commit_ms",
+      "wal_group_commits",
+      "wal_backlog_bytes",
+      "wal_segments",
+      "wal_checkpoints",
+      "wal_backpressure_waits",
+      "recovery_replayed",
+      "recovery_truncated_bytes",
+      "recovery_millis",
+      "plan_cache_hits",
+      "plan_cache_misses",
+      "plan_cache_evictions",
+      "result_cache_hits",
+      "result_cache_misses",
+      "result_cache_bytes",
+      "shared_scan_groups",
+      "shared_scan_queries_coalesced",
+      "shared_scan_fallbacks",
+      "queue_wait",
+      "execution",
+      "total",
+  };
+  engine::ParjEngine engine = MakeLubmEngine();
+  QueryServer server(&engine, {});
+  const std::string dump = server.DumpMetrics();
+  std::vector<std::string> names;
+  for (auto& [name, value] : test::MetricLines(dump)) names.push_back(name);
+  size_t next = 0;
+  for (const std::string& name : names) {
+    if (next < kNames.size() && name == kNames[next]) ++next;
+  }
+  ASSERT_EQ(next, kNames.size())
+      << "missing or out of order: " << kNames[next] << "\n" << dump;
+  // The load gauges come from the engine, so every server shows them.
+  EXPECT_GT(std::stoull(test::MetricValue(dump, "load_total_micros")), 0u);
+  EXPECT_EQ(test::MetricValue(dump, "load_threads_used"),
+            std::to_string(engine.load_stats().threads));
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 #define PARJ_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -95,6 +97,32 @@ inline std::vector<std::vector<TermId>> ToSortedRows(
   }
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+/// The (name, value) fields of each line of a metrics dump such as
+/// server::QueryServer::DumpMetrics(), in dump order.
+inline std::vector<std::pair<std::string, std::string>> MetricLines(
+    const std::string& dump) {
+  std::vector<std::pair<std::string, std::string>> lines;
+  std::istringstream in(dump);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string name;
+    std::string value;
+    fields >> name >> value;
+    lines.emplace_back(std::move(name), std::move(value));
+  }
+  return lines;
+}
+
+/// The value printed beside `name` in a metrics dump ("" when absent).
+inline std::string MetricValue(const std::string& dump,
+                               const std::string& name) {
+  for (auto& [line_name, value] : MetricLines(dump)) {
+    if (line_name == name) return value;
+  }
+  return "";
 }
 
 }  // namespace parj::test

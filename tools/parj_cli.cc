@@ -625,40 +625,6 @@ struct Shell {
         "counters, .wait drains, .quit exits\n",
         serve_inflight, threads, serve_plan_cache ? "on" : "off",
         serve_result_cache_mb);
-    // Snapshot integrity counters live in a process-wide registry (loads
-    // can happen before the server exists); mirror them into the serving
-    // registry so one .metrics dump shows everything.
-    auto dump_metrics = [&srv, this] {
-      srv.metrics().snapshot_crc_verified.store(
-          storage::GlobalSnapshotStats().crc_sections_verified.load(
-              std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      // Load-phase gauges come from the engine's LoadStats so the serving
-      // registry reflects how start-up time was spent.
-      const engine::LoadStats& ls = engine->load_stats();
-      const auto micros = [](double millis) {
-        return static_cast<uint64_t>(millis * 1e3);
-      };
-      srv.metrics().load_total_micros.store(micros(ls.total_millis),
-                                            std::memory_order_relaxed);
-      srv.metrics().load_parse_micros.store(micros(ls.parse_millis),
-                                            std::memory_order_relaxed);
-      srv.metrics().load_encode_micros.store(micros(ls.encode_millis),
-                                             std::memory_order_relaxed);
-      srv.metrics().load_build_micros.store(micros(ls.build_millis),
-                                            std::memory_order_relaxed);
-      srv.metrics().load_index_micros.store(micros(ls.index_millis),
-                                            std::memory_order_relaxed);
-      srv.metrics().load_calibrate_micros.store(micros(ls.calibrate_millis),
-                                                std::memory_order_relaxed);
-      srv.metrics().load_threads_used.store(
-          static_cast<uint64_t>(ls.threads), std::memory_order_relaxed);
-      // Live-mutability gauges refresh on each submission; refresh again
-      // here so an idle server still dumps current delta/epoch state.
-      srv.RefreshMutationGauges();
-      std::printf("%s", srv.metrics().Dump().c_str());
-    };
-
     std::vector<PendingQuery> pending;
     std::map<std::string, std::shared_ptr<const server::PreparedStatement>>
         prepared_queries;
@@ -728,7 +694,7 @@ struct Shell {
         in >> command;
         if (command == ".quit" || command == ".exit") break;
         if (command == ".metrics") {
-          dump_metrics();
+          std::printf("%s", srv.DumpMetrics().c_str());
         } else if (command == ".insert" || command == ".remove") {
           // Live writes while queries are in flight: MVCC snapshots keep
           // every running query on its pinned epoch.
@@ -832,7 +798,7 @@ struct Shell {
     if (!query.empty()) submit(query);
     HarvestPending(&pending, true);
     srv.Drain();
-    dump_metrics();
+    std::printf("%s", srv.DumpMetrics().c_str());
   }
 
   /// Applies --wal-dir after the data-loading pass: recover from an
